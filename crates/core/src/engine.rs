@@ -109,16 +109,6 @@ impl IngestionEngine {
         &self.afm
     }
 
-    /// The engine's shared default SQL++ session.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a configured session with IngestionEngine::new_session instead of \
-                mutating the engine-wide shared one"
-    )]
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
     /// Builds a new SQL++ session over the engine's catalog and cluster
     /// from an explicit [`SessionConfig`] (execution mode, parameter
     /// defaults, tenant id, result batch size). Sessions are

@@ -120,6 +120,10 @@ impl std::fmt::Debug for Env {
 /// Plans embed access-method choices (index vs. materialize), so the
 /// cache tracks the [`Catalog::version`] it was filled against and
 /// clears itself when DDL has moved the catalog past it.
+///
+/// Plans are keyed by [`SelectBlock::id`], which every parse mints
+/// afresh, so each re-parsed query text adds an entry. The cache clears
+/// wholesale once it holds [`PlanCache::CAPACITY`] plans.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     plans: RwLock<HashMap<u32, Arc<BlockPlan>>>,
@@ -127,6 +131,9 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
+    /// Plans held before the cache clears wholesale.
+    pub const CAPACITY: usize = 4096;
+
     pub fn new() -> Arc<PlanCache> {
         Arc::new(PlanCache::default())
     }
@@ -298,8 +305,22 @@ impl ExecContext {
             return Ok(p.clone());
         }
         let plan = Arc::new(plan_block(block, &self.catalog)?);
-        self.plan_cache.plans.write().insert(block.id, plan.clone());
+        let mut plans = self.plan_cache.plans.write();
+        if plans.len() >= PlanCache::CAPACITY {
+            plans.clear();
+        }
+        plans.insert(block.id, plan.clone());
         Ok(plan)
+    }
+
+    /// Counts a block that scans a dataset but did not vectorize.
+    pub(crate) fn note_vec_fallback(&mut self, plan: &BlockPlan) {
+        if plan.vec_fallback {
+            self.stats.vec_fallbacks += 1;
+            if let Some(m) = &self.metrics {
+                m.counter(idea_obs::names::QUERY_BATCH_FALLBACKS).inc();
+            }
+        }
     }
 
     /// Pins (or returns the pinned) snapshot set for a dataset: all
@@ -343,28 +364,16 @@ pub fn eval_block(block: &SelectBlock, env: &Env, ctx: &mut ExecContext) -> Resu
     ctx.stats.blocks_evaluated += 1;
     let plan = ctx.plan_for(block)?;
 
-    // Pre-SELECT LETs bind before FROM (they can feed FROM sources,
-    // as in the paper's Figure 10 batch template).
-    let mut env = env.clone();
-    for (name, e) in &block.pre_lets {
-        let v = eval_expr(e, &env, ctx)?;
-        env = env.bind_value(name.clone(), v);
-    }
-    let env = &env;
+    let env = &bind_pre_lets(block, env, ctx)?;
 
     // Vectorized path: compiled once at plan time. Everything the
     // vectorizer declined runs the row interpreter below, which stays
     // the differential oracle.
     if ctx.vectorize {
-        if let Some(vp) = plan.vec.clone() {
-            return crate::vector::eval_vectorized(block, &vp, env, ctx);
+        if let Some(vp) = &plan.vec {
+            return crate::vector::eval_vectorized(block, &plan, vp, env, ctx);
         }
-        if plan.vec_fallback {
-            ctx.stats.vec_fallbacks += 1;
-            if let Some(m) = &ctx.metrics {
-                m.counter(idea_obs::names::QUERY_BATCH_FALLBACKS).inc();
-            }
-        }
+        ctx.note_vec_fallback(&plan);
     }
 
     // FROM: join loop in planned order.
@@ -392,6 +401,18 @@ pub fn eval_block(block: &SelectBlock, env: &Env, ctx: &mut ExecContext) -> Resu
         out.truncate(n);
     }
     Ok(out)
+}
+
+/// Binds the block's pre-SELECT LETs over `env`. They bind before FROM
+/// (they can feed FROM sources, as in the paper's Figure 10 batch
+/// template).
+pub(crate) fn bind_pre_lets(block: &SelectBlock, env: &Env, ctx: &mut ExecContext) -> Result<Env> {
+    let mut env = env.clone();
+    for (name, e) in &block.pre_lets {
+        let v = eval_expr(e, &env, ctx)?;
+        env = env.bind_value(name.clone(), v);
+    }
+    Ok(env)
 }
 
 /// Runs the FROM join loop for plan items `from_order[start..]` over the

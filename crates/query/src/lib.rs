@@ -20,8 +20,9 @@
 //!   plan cache, prepared-statement parameters, and an execution-mode
 //!   knob — built up front via [`session::SessionConfig`];
 //! * [`stream::RowStream`] — the streaming result surface: pull-based
-//!   batches from a lazy scan, a live parallel merge, or a re-chunked
-//!   materialized fallback;
+//!   batches from a live parallel merge, from the block's driver scan
+//!   (the one scan-and-filter loop every executor shares, see
+//!   [`vector`]), or from a re-chunked materialized fallback;
 //! * [`parallel`] — compiles eligible query blocks into partitioned
 //!   `idea-hyracks` jobs (per-partition scans, hash exchanges for GROUP
 //!   BY, a merge stage), predeployed on the cluster's task pools.

@@ -47,11 +47,12 @@ use crate::ast::{FromSource, SelectBlock};
 use crate::catalog::Catalog;
 use crate::error::QueryError;
 use crate::exec::{
-    apply_lets_and_post_filters, compare_order_keys, dedup_values, eval_groups_keyed, eval_limit,
-    join_from, project, BindSlot, Env, ExecContext, PlanCache,
+    apply_lets_and_post_filters, bind_pre_lets, compare_order_keys, dedup_values,
+    eval_groups_keyed, eval_limit, join_from, project, Env, ExecContext, PlanCache,
 };
 use crate::expr::eval_expr;
 use crate::plan::{AccessPath, BlockPlan};
+use crate::vector::DriverScan;
 use crate::Result;
 
 /// Encoded-record field names used on exchange edges.
@@ -199,17 +200,6 @@ fn apply_params(ctx: &mut ExecContext, param: &Value) {
     }
 }
 
-/// Evaluates the block's pre-LETs into a fresh environment (each task
-/// rebuilds them locally; they are bound before FROM).
-fn prelet_env(block: &SelectBlock, ctx: &mut ExecContext) -> Result<Env> {
-    let mut env = Env::new();
-    for (name, e) in &block.pre_lets {
-        let v = eval_expr(e, &env, ctx)?;
-        env = env.bind_value(name.clone(), v);
-    }
-    Ok(env)
-}
-
 fn push_chunked(records: Vec<Value>, out: &mut dyn FrameSink) -> idea_hyracks::Result<()> {
     for frame in Frame::chunked(records, EMIT_CHUNK) {
         out.push(frame)?;
@@ -244,7 +234,7 @@ impl ScanOp {
     fn scan_rows(&self, ctx: &mut TaskContext, xctx: &mut ExecContext) -> Result<Vec<Env>> {
         let block = &self.block;
         let plan = xctx.plan_for(block)?;
-        let env = prelet_env(block, xctx)?;
+        let env = bind_pre_lets(block, &Env::new(), xctx)?;
 
         let fp0 = plan
             .from_order
@@ -264,52 +254,23 @@ impl ScanOp {
         }
         let snap = ds.snapshot_partition(ctx.partition);
 
-        // Vectorized driver scan: when the block compiled to a columnar
-        // plan, this partition's records stream through batches and the
-        // driver filters run as kernels; survivors are re-bound as row
-        // environments for the remaining pipeline. A joinless plan's
-        // driver filters already include the post filters, so only join
-        // blocks continue through the row-at-a-time stages.
-        if let Some(vp) = plan.vec.clone() {
-            let recs = crate::vector::scan_partition(&vp, &snap, xctx)?;
-            let mut rows = Vec::with_capacity(recs.len());
-            for rec in recs {
-                rows.push(env.bind(item.alias.clone(), rec));
-            }
-            return if vp.has_join() {
-                let rows = join_from(block, &plan, 1, rows, xctx)?;
-                apply_lets_and_post_filters(block, &plan, rows, xctx)
-            } else {
-                Ok(rows)
-            };
-        }
-
-        // Driver scan: self-filters see only the alias (same base the
-        // sequential materialize path uses), residuals see the full row.
-        let mut fslot = BindSlot::new(&Env::new(), item.alias.clone());
+        // The driver scan over this partition alone: compiled kernels
+        // when the block vectorized, the row-path filters otherwise.
+        // Survivors become row environments for the remaining joins and
+        // LET/WHERE pipeline — the shared sequential code, on this
+        // partition's rows only. A joinless vectorized plan's kernels
+        // already include the post filters.
+        let mut scan = match &plan.vec {
+            Some(vp) => DriverScan::kernels(vp.clone(), 0, true, vec![snap]),
+            None => DriverScan::rows(block, plan.clone(), env.clone(), vec![snap]),
+        };
         let mut rows = Vec::new();
-        'rec: for rec in snap.iter() {
-            xctx.stats.rows_scanned += 1;
-            let rec = rec.clone();
-            if !fp0.self_filter.is_empty() {
-                let fenv = fslot.set(rec.clone());
-                for f in &fp0.self_filter {
-                    if !eval_expr(f, fenv, xctx)?.is_true() {
-                        continue 'rec;
-                    }
-                }
-            }
-            let cenv = env.bind(item.alias.clone(), rec);
-            for r in &fp0.residual {
-                if !eval_expr(r, &cenv, xctx)?.is_true() {
-                    continue 'rec;
-                }
-            }
-            rows.push(cenv);
+        while let Some(chunk) = scan.next_chunk(xctx)? {
+            rows.extend(chunk.into_envs(&env, &item.alias));
         }
-
-        // Remaining join items + LETs + post-LET filters: the shared
-        // sequential pipeline, operating on this partition's rows only.
+        if plan.vec.as_ref().is_some_and(|vp| !vp.has_join()) {
+            return Ok(rows);
+        }
         let rows = join_from(block, &plan, 1, rows, xctx)?;
         apply_lets_and_post_filters(block, &plan, rows, xctx)
     }
@@ -461,7 +422,7 @@ fn merge_finisher(
         let mut keyed: Vec<(Vec<Value>, Value)> = match shape {
             ParallelShape::AggMerge => {
                 let names = binding_names(&block);
-                let outer = prelet_env(&block, &mut xctx).map_err(op_err)?;
+                let outer = bind_pre_lets(&block, &Env::new(), &mut xctx).map_err(op_err)?;
                 let envs: Vec<Env> = rows
                     .iter()
                     .filter_map(|rec| rec.as_object().and_then(|o| o.get(BINDINGS_FIELD)))
@@ -492,7 +453,7 @@ fn merge_finisher(
 
         let limit = match &block.limit {
             Some(l) => {
-                let env = prelet_env(&block, &mut xctx).map_err(op_err)?;
+                let env = bind_pre_lets(&block, &Env::new(), &mut xctx).map_err(op_err)?;
                 Some(eval_limit(l, &env, &mut xctx).map_err(op_err)?)
             }
             None => None,

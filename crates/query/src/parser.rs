@@ -16,6 +16,27 @@ const RESERVED: &[&str] = &[
     "end", "to", "apply", "with", "on", "into", "primary", "key", "type",
 ];
 
+/// Deepest nesting of expressions, subqueries and option blocks the
+/// parser accepts. Recursive descent spends stack per level, and the
+/// server parses on 512 KB connection threads: past this depth a
+/// statement is a syntax error, never a stack overflow.
+pub const MAX_NESTING: usize = 48;
+
+/// Binary operator precedence levels, loosest first.
+const OR: u8 = 0;
+const AND: u8 = 1;
+const CMP: u8 = 2;
+const ADD: u8 = 3;
+const MUL: u8 = 4;
+
+/// A binary operator as parsed; `IN` and `NOT IN` build their own nodes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Bin(BinOp),
+    In,
+    NotIn,
+}
+
 fn is_reserved(s: &str) -> bool {
     RESERVED.iter().any(|r| s.eq_ignore_ascii_case(r))
 }
@@ -65,11 +86,22 @@ pub fn parse_query(input: &str) -> Result<Arc<SelectBlock>> {
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Current nesting depth (see [`MAX_NESTING`]); every recursive
+    /// rule calls [`Parser::enter`] and decrements it on return.
+    depth: usize,
 }
 
 impl Parser {
     fn new(input: &str) -> Result<Self> {
-        Ok(Parser { toks: lex(input)?, pos: 0 })
+        Ok(Parser { toks: lex(input)?, pos: 0, depth: 0 })
+    }
+
+    fn enter(&mut self) -> Result<()> {
+        if self.depth >= MAX_NESTING {
+            return Err(QueryError::Syntax(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn peek(&self) -> &Token {
@@ -150,29 +182,23 @@ impl Parser {
         if self.peek().is_kw("create") {
             return self.parse_create();
         }
-        if self.eat_kw("insert") {
+        if self.peek().is_kw("insert") || self.peek().is_kw("upsert") {
+            let upsert = self.bump().is_kw("upsert");
             self.expect_kw("into")?;
             let dataset = self.expect_ident()?;
             self.expect(&Token::LParen)?;
             let source = self.parse_query_or_expr()?;
             self.expect(&Token::RParen)?;
-            return Ok(Statement::Insert { dataset, source });
-        }
-        if self.eat_kw("upsert") {
-            self.expect_kw("into")?;
-            let dataset = self.expect_ident()?;
-            self.expect(&Token::LParen)?;
-            let source = self.parse_query_or_expr()?;
-            self.expect(&Token::RParen)?;
-            return Ok(Statement::Upsert { dataset, source });
+            return Ok(if upsert {
+                Statement::Upsert { dataset, source }
+            } else {
+                Statement::Insert { dataset, source }
+            });
         }
         if self.eat_kw("delete") {
             self.expect_kw("from")?;
             let dataset = self.expect_ident()?;
-            let alias = match self.peek() {
-                Token::Ident(s) if !is_reserved(s) => self.expect_ident()?,
-                _ => dataset.clone(),
-            };
+            let alias = self.parse_alias()?.unwrap_or_else(|| dataset.clone());
             let where_clause = if self.eat_kw("where") { Some(self.parse_expr()?) } else { None };
             return Ok(Statement::Delete { dataset, alias, where_clause });
         }
@@ -211,8 +237,7 @@ impl Parser {
             return Ok(Statement::StopFeed { name: self.expect_ident()? });
         }
         if self.peek().is_kw("select") || self.peek().is_kw("let") {
-            let block = self.parse_select_block()?;
-            return Ok(Statement::Query(Expr::Subquery(Arc::new(block))));
+            return Ok(Statement::Query(self.parse_query_or_expr()?));
         }
         Err(QueryError::Syntax(format!("unexpected statement start: {:?}", self.peek())))
     }
@@ -224,19 +249,11 @@ impl Parser {
             self.expect_kw("as")?;
             let _ = self.eat_kw("open"); // OPEN is the only supported mode
             self.expect(&Token::LBrace)?;
-            let mut fields = Vec::new();
-            if !self.eat(&Token::RBrace) {
-                loop {
-                    let fname = self.expect_ident()?;
-                    self.expect(&Token::Colon)?;
-                    let ftype = self.expect_ident()?;
-                    fields.push((fname, ftype));
-                    if self.eat(&Token::RBrace) {
-                        break;
-                    }
-                    self.expect(&Token::Comma)?;
-                }
-            }
+            let fields = self.parse_list(&Token::RBrace, |p| {
+                let field = p.expect_ident()?;
+                p.expect(&Token::Colon)?;
+                Ok((field, p.expect_ident()?))
+            })?;
             return Ok(Statement::CreateType { name, fields });
         }
         if self.eat_kw("dataset") {
@@ -277,16 +294,7 @@ impl Parser {
         if self.eat_kw("function") {
             let name = self.expect_ident()?;
             self.expect(&Token::LParen)?;
-            let mut params = Vec::new();
-            if !self.eat(&Token::RParen) {
-                loop {
-                    params.push(self.expect_ident()?);
-                    if self.eat(&Token::RParen) {
-                        break;
-                    }
-                    self.expect(&Token::Comma)?;
-                }
-            }
+            let params = self.parse_list(&Token::RParen, Self::expect_ident)?;
             self.expect(&Token::LBrace)?;
             let body = self.parse_query_or_expr()?;
             self.expect(&Token::RBrace)?;
@@ -321,42 +329,42 @@ impl Parser {
         options: &mut Vec<(String, String)>,
     ) -> Result<()> {
         self.expect(&Token::LBrace)?;
-        if self.eat(&Token::RBrace) {
-            return Ok(());
-        }
-        loop {
-            let k = self.expect_string()?;
+        self.parse_list(&Token::RBrace, |p| {
+            let k = p.expect_string()?;
             let key = if prefix.is_empty() { k } else { format!("{prefix}.{k}") };
-            self.expect(&Token::Colon)?;
-            if matches!(self.peek(), Token::LBrace) {
-                self.parse_options_into(&key, options)?;
-            } else {
-                let v = match self.bump() {
-                    Token::Str(s) => s,
-                    Token::Int(i) => i.to_string(),
-                    Token::Double(d) => d.to_string(),
-                    Token::Ident(s) if s.eq_ignore_ascii_case("true") => "true".to_owned(),
-                    Token::Ident(s) if s.eq_ignore_ascii_case("false") => "false".to_owned(),
-                    other => {
-                        return Err(QueryError::Syntax(format!(
-                            "expected option value for {key:?}, found {other:?}"
-                        )))
-                    }
-                };
-                options.push((key, v));
-            }
-            if self.eat(&Token::RBrace) {
+            p.expect(&Token::Colon)?;
+            if matches!(p.peek(), Token::LBrace) {
+                p.enter()?;
+                p.parse_options_into(&key, options)?;
+                p.depth -= 1;
                 return Ok(());
             }
-            self.expect(&Token::Comma)?;
-        }
+            let v = match p.bump() {
+                Token::Str(s) => s,
+                Token::Int(i) => i.to_string(),
+                Token::Double(d) => d.to_string(),
+                Token::Ident(s) if s.eq_ignore_ascii_case("true") => "true".to_owned(),
+                Token::Ident(s) if s.eq_ignore_ascii_case("false") => "false".to_owned(),
+                other => {
+                    return Err(QueryError::Syntax(format!(
+                        "expected option value for {key:?}, found {other:?}"
+                    )))
+                }
+            };
+            options.push((key, v));
+            Ok(())
+        })?;
+        Ok(())
     }
 
     /// A select block (possibly LET-first, as the paper writes UDF
     /// bodies) or a plain expression.
     fn parse_query_or_expr(&mut self) -> Result<Expr> {
         if self.peek().is_kw("select") || self.peek().is_kw("let") {
-            Ok(Expr::Subquery(Arc::new(self.parse_select_block()?)))
+            self.enter()?;
+            let block = self.parse_select_block();
+            self.depth -= 1;
+            Ok(Expr::Subquery(Arc::new(block?)))
         } else {
             self.parse_expr()
         }
@@ -368,92 +376,70 @@ impl Parser {
         let mut block = SelectBlock::empty();
         // Leading LETs (paper style: `LET x = ... SELECT ...`) bind
         // before FROM.
-        while self.peek().is_kw("let") {
-            self.bump();
-            loop {
-                let name = self.expect_ident()?;
-                self.expect(&Token::Eq)?;
-                let e = self.parse_expr()?;
-                block.pre_lets.push((name, e));
-                if !self.eat(&Token::Comma) {
-                    break;
-                }
-            }
+        while self.eat_kw("let") {
+            block.pre_lets.extend(self.parse_comma_sep(Self::parse_let)?);
         }
         self.expect_kw("select")?;
         block.distinct = self.eat_kw("distinct");
         block.select = if self.eat_kw("value") {
             SelectClause::Value(Box::new(self.parse_expr()?))
         } else {
-            let mut items = Vec::new();
-            loop {
-                items.push(self.parse_select_item()?);
-                if !self.eat(&Token::Comma) {
-                    break;
-                }
-            }
-            SelectClause::Items(items)
+            SelectClause::Items(self.parse_comma_sep(Self::parse_select_item)?)
         };
         if self.eat_kw("from") {
-            loop {
-                block.from.push(self.parse_from_item()?);
-                if !self.eat(&Token::Comma) {
-                    break;
-                }
-            }
+            block.from = self.parse_comma_sep(Self::parse_from_item)?;
         }
         // Trailing LETs (standard SQL++ position).
-        while self.peek().is_kw("let") {
-            self.bump();
-            loop {
-                let name = self.expect_ident()?;
-                self.expect(&Token::Eq)?;
-                let e = self.parse_expr()?;
-                block.lets.push((name, e));
-                if !self.eat(&Token::Comma) {
-                    break;
-                }
-            }
+        while self.eat_kw("let") {
+            block.lets.extend(self.parse_comma_sep(Self::parse_let)?);
         }
         if self.eat_kw("where") {
             block.where_clause = Some(self.parse_expr()?);
         }
-        if self.peek().is_kw("group") {
-            self.bump();
+        if self.eat_kw("group") {
             self.expect_kw("by")?;
-            loop {
-                let e = self.parse_expr()?;
-                let alias = if self.eat_kw("as") { Some(self.expect_ident()?) } else { None };
-                block.group_by.push((e, alias));
-                if !self.eat(&Token::Comma) {
-                    break;
-                }
-            }
+            block.group_by = self.parse_comma_sep(|p| {
+                let e = p.parse_expr()?;
+                Ok((e, if p.eat_kw("as") { Some(p.expect_ident()?) } else { None }))
+            })?;
         }
         if self.eat_kw("having") {
             block.having = Some(self.parse_expr()?);
         }
-        if self.peek().is_kw("order") {
-            self.bump();
+        if self.eat_kw("order") {
             self.expect_kw("by")?;
-            loop {
-                let e = self.parse_expr()?;
-                let asc = if self.eat_kw("desc") {
-                    false
-                } else {
-                    let _ = self.eat_kw("asc");
-                    true
-                };
-                block.order_by.push((e, asc));
-                if !self.eat(&Token::Comma) {
-                    break;
+            block.order_by = self.parse_comma_sep(|p| {
+                let e = p.parse_expr()?;
+                let asc = !p.eat_kw("desc");
+                if asc {
+                    p.eat_kw("asc");
                 }
-            }
+                Ok((e, asc))
+            })?;
         }
         if self.eat_kw("limit") {
             block.limit = Some(self.parse_expr()?);
         }
         Ok(block)
+    }
+
+    /// `item (, item)*`.
+    fn parse_comma_sep<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let mut out = vec![item(self)?];
+        while self.eat(&Token::Comma) {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// One `name = expr` binding of a LET clause.
+    fn parse_let(&mut self) -> Result<(String, Expr)> {
+        let name = self.expect_ident()?;
+        self.expect(&Token::Eq)?;
+        Ok((name, self.parse_expr()?))
     }
 
     fn parse_select_item(&mut self) -> Result<SelectItem> {
@@ -468,15 +454,18 @@ impl Parser {
             }
         }
         let e = self.parse_expr()?;
-        let alias = if self.eat_kw("as") {
-            Some(self.expect_ident()?)
-        } else {
-            match self.peek() {
-                Token::Ident(s) if !is_reserved(s) => Some(self.expect_ident()?),
-                _ => None,
-            }
-        };
-        Ok(SelectItem::Expr(e, alias))
+        Ok(SelectItem::Expr(e, self.parse_alias()?))
+    }
+
+    /// `[AS] name`; a bare name must not be a reserved word.
+    fn parse_alias(&mut self) -> Result<Option<String>> {
+        if self.eat_kw("as") {
+            return Ok(Some(self.expect_ident()?));
+        }
+        Ok(match self.peek() {
+            Token::Ident(s) if !is_reserved(s) => Some(self.expect_ident()?),
+            _ => None,
+        })
     }
 
     fn parse_from_item(&mut self) -> Result<FromItem> {
@@ -496,13 +485,10 @@ impl Parser {
             }
             _ => None,
         };
-        let alias = if self.eat_kw("as") {
-            self.expect_ident()?
-        } else {
-            match self.peek() {
-                Token::Ident(s) if !is_reserved(s) => self.expect_ident()?,
-                _ => default_alias
-                    .ok_or_else(|| QueryError::Syntax("FROM subquery requires an alias".into()))?,
+        let alias = match (self.parse_alias()?, default_alias) {
+            (Some(alias), _) | (None, Some(alias)) => alias,
+            (None, None) => {
+                return Err(QueryError::Syntax("FROM subquery requires an alias".into()))
             }
         };
         Ok(FromItem { source, alias, hint })
@@ -511,104 +497,93 @@ impl Parser {
     // ---- expressions --------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.enter()?;
+        let e = self.parse_binary(OR);
+        self.depth -= 1;
+        e
     }
 
-    fn parse_or(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_and()?;
-        while self.eat_kw("or") {
-            let rhs = self.parse_and()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    /// The binary operator at the cursor with its precedence level, or
+    /// `None`. `NOT IN` is two tokens.
+    fn peek_binop(&self) -> Option<(Op, u8)> {
+        let t = self.peek();
+        Some(match t {
+            _ if t.is_kw("or") => (Op::Bin(BinOp::Or), OR),
+            _ if t.is_kw("and") => (Op::Bin(BinOp::And), AND),
+            _ if t.is_kw("in") => (Op::In, CMP),
+            _ if t.is_kw("not") && self.peek2().is_kw("in") => (Op::NotIn, CMP),
+            Token::Eq => (Op::Bin(BinOp::Eq), CMP),
+            Token::Neq => (Op::Bin(BinOp::Neq), CMP),
+            Token::Lt => (Op::Bin(BinOp::Lt), CMP),
+            Token::Le => (Op::Bin(BinOp::Le), CMP),
+            Token::Gt => (Op::Bin(BinOp::Gt), CMP),
+            Token::Ge => (Op::Bin(BinOp::Ge), CMP),
+            Token::Plus => (Op::Bin(BinOp::Add), ADD),
+            Token::Minus => (Op::Bin(BinOp::Sub), ADD),
+            Token::Star => (Op::Bin(BinOp::Mul), MUL),
+            Token::Slash => (Op::Bin(BinOp::Div), MUL),
+            Token::Percent => (Op::Bin(BinOp::Mod), MUL),
+            _ => return None,
+        })
     }
 
-    fn parse_and(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_not()?;
-        while self.eat_kw("and") {
-            let rhs = self.parse_not()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_not(&mut self) -> Result<Expr> {
-        if self.eat_kw("not") {
-            Ok(Expr::Not(Box::new(self.parse_not()?)))
+    /// Precedence climbing over operators binding at least as tight as
+    /// `min`. `OR`, `AND` and arithmetic associate left; a comparison,
+    /// and a `NOT` prefix (which binds looser than comparisons), can only
+    /// be followed by `AND`/`OR`.
+    fn parse_binary(&mut self, min: u8) -> Result<Expr> {
+        let (mut lhs, mut max) = if min <= CMP && self.eat_kw("not") {
+            self.enter()?;
+            let e = self.parse_binary(CMP);
+            self.depth -= 1;
+            (Expr::Not(Box::new(e?)), AND)
         } else {
-            self.parse_comparison()
-        }
-    }
-
-    fn parse_comparison(&mut self) -> Result<Expr> {
-        let lhs = self.parse_additive()?;
-        let op = match self.peek() {
-            Token::Eq => Some(BinOp::Eq),
-            Token::Neq => Some(BinOp::Neq),
-            Token::Lt => Some(BinOp::Lt),
-            Token::Le => Some(BinOp::Le),
-            Token::Gt => Some(BinOp::Gt),
-            Token::Ge => Some(BinOp::Ge),
-            _ => None,
+            (self.parse_unary()?, MUL)
         };
-        if let Some(op) = op {
+        while let Some((op, level)) = self.peek_binop() {
+            if level < min || level > max {
+                break;
+            }
             self.bump();
-            let rhs = self.parse_additive()?;
-            return Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)));
-        }
-        if self.eat_kw("in") {
-            let rhs = self.parse_additive()?;
-            return Ok(Expr::In(Box::new(lhs), Box::new(rhs)));
-        }
-        if self.peek().is_kw("not") && self.peek2().is_kw("in") {
-            self.bump();
-            self.bump();
-            let rhs = self.parse_additive()?;
-            return Ok(Expr::Not(Box::new(Expr::In(Box::new(lhs), Box::new(rhs)))));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Token::Plus => BinOp::Add,
-                Token::Minus => BinOp::Sub,
-                _ => break,
+            if op == Op::NotIn {
+                self.bump();
+            }
+            let rhs = Box::new(self.parse_binary(level + 1)?);
+            let lhs_box = Box::new(lhs);
+            lhs = match op {
+                Op::In => Expr::In(lhs_box, rhs),
+                Op::NotIn => Expr::Not(Box::new(Expr::In(lhs_box, rhs))),
+                Op::Bin(op) => Expr::Binary(op, lhs_box, rhs),
             };
-            self.bump();
-            let rhs = self.parse_multiplicative()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            if level == CMP {
+                max = AND;
+            }
         }
         Ok(lhs)
     }
 
-    fn parse_multiplicative(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Token::Star => BinOp::Mul,
-                Token::Slash => BinOp::Div,
-                Token::Percent => BinOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_unary()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
+    /// `-x`, or a primary with its `.field` / `[index]` suffixes.
+    /// Parenthesized expressions and subqueries, the common nesting
+    /// path, stay in this small frame; every other primary is parsed
+    /// out of line, so deep nesting spends little stack per level.
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat(&Token::Minus) {
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
+            self.enter()?;
+            let e = self.parse_unary();
+            self.depth -= 1;
+            return Ok(Expr::Neg(Box::new(e?)));
         }
-        self.parse_postfix()
+        let e = if self.eat(&Token::LParen) {
+            let e = self.parse_query_or_expr()?;
+            self.expect(&Token::RParen)?;
+            e
+        } else {
+            self.parse_atom()?
+        };
+        self.parse_suffixes(e)
     }
 
-    fn parse_postfix(&mut self) -> Result<Expr> {
-        let mut e = self.parse_primary()?;
+    fn parse_suffixes(&mut self, mut e: Expr) -> Result<Expr> {
         loop {
             if self.eat(&Token::Dot) {
                 let field = self.expect_ident()?;
@@ -618,129 +593,93 @@ impl Parser {
                 self.expect(&Token::RBracket)?;
                 e = Expr::Index(Box::new(e), Box::new(idx));
             } else {
-                break;
+                return Ok(e);
             }
         }
-        Ok(e)
     }
 
-    fn parse_primary(&mut self) -> Result<Expr> {
-        match self.peek().clone() {
-            Token::Int(i) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Int(i)))
-            }
-            Token::Double(d) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Double(d)))
-            }
-            Token::Str(s) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Str(s)))
-            }
-            Token::Param(p) => {
-                self.bump();
-                Ok(Expr::Param(p))
-            }
-            Token::LParen => {
-                self.bump();
-                let e = self.parse_query_or_expr()?;
-                self.expect(&Token::RParen)?;
-                Ok(e)
-            }
+    fn parse_atom(&mut self) -> Result<Expr> {
+        let lit = match self.bump() {
+            Token::Int(i) => Value::Int(i),
+            Token::Double(d) => Value::Double(d),
+            Token::Str(s) => Value::Str(s),
+            Token::Param(p) => return Ok(Expr::Param(p)),
             Token::LBracket => {
-                self.bump();
-                let mut items = Vec::new();
-                if !self.eat(&Token::RBracket) {
-                    loop {
-                        items.push(self.parse_expr()?);
-                        if self.eat(&Token::RBracket) {
-                            break;
-                        }
-                        self.expect(&Token::Comma)?;
-                    }
-                }
-                Ok(Expr::Array(items))
+                return Ok(Expr::Array(self.parse_list(&Token::RBracket, Self::parse_expr)?))
             }
             Token::LBrace => {
-                self.bump();
-                let mut fields = Vec::new();
-                if !self.eat(&Token::RBrace) {
-                    loop {
-                        let key = match self.bump() {
-                            Token::Str(s) => s,
-                            Token::Ident(s) => s,
-                            other => {
-                                return Err(QueryError::Syntax(format!(
-                                    "expected object key, found {other:?}"
-                                )))
-                            }
-                        };
-                        self.expect(&Token::Colon)?;
-                        let v = self.parse_expr()?;
-                        fields.push((key, v));
-                        if self.eat(&Token::RBrace) {
-                            break;
-                        }
-                        self.expect(&Token::Comma)?;
-                    }
-                }
-                Ok(Expr::Object(fields))
+                return Ok(Expr::Object(self.parse_list(&Token::RBrace, Self::parse_field)?))
             }
-            Token::Ident(name) => {
-                if name.eq_ignore_ascii_case("case") {
-                    return self.parse_case();
-                }
-                if name.eq_ignore_ascii_case("exists") {
-                    self.bump();
-                    self.expect(&Token::LParen)?;
-                    let inner = self.parse_query_or_expr()?;
-                    self.expect(&Token::RParen)?;
-                    return Ok(Expr::Exists(Box::new(inner)));
-                }
-                if name.eq_ignore_ascii_case("true") {
-                    self.bump();
-                    return Ok(Expr::Literal(Value::Bool(true)));
-                }
-                if name.eq_ignore_ascii_case("false") {
-                    self.bump();
-                    return Ok(Expr::Literal(Value::Bool(false)));
-                }
-                if name.eq_ignore_ascii_case("null") {
-                    self.bump();
-                    return Ok(Expr::Literal(Value::Null));
-                }
-                if name.eq_ignore_ascii_case("missing") {
-                    self.bump();
-                    return Ok(Expr::Literal(Value::Missing));
-                }
-                self.bump();
-                if self.eat(&Token::LParen) {
-                    let mut args = Vec::new();
-                    if !self.eat(&Token::RParen) {
-                        loop {
-                            if self.eat(&Token::Star) {
-                                args.push(Expr::Wildcard);
-                            } else {
-                                args.push(self.parse_query_or_expr()?);
-                            }
-                            if self.eat(&Token::RParen) {
-                                break;
-                            }
-                            self.expect(&Token::Comma)?;
-                        }
-                    }
-                    Ok(Expr::Call { name, args })
-                } else {
-                    Ok(Expr::Ident(name))
-                }
-            }
-            other => Err(QueryError::Syntax(format!("unexpected token {other:?}"))),
-        }
+            Token::Ident(name) => return self.parse_ident(name),
+            other => return Err(QueryError::Syntax(format!("unexpected token {other:?}"))),
+        };
+        Ok(Expr::Literal(lit))
     }
 
+    /// `item (, item)* close`, or just `close`; the opener is consumed.
+    fn parse_list<T>(
+        &mut self,
+        close: &Token,
+        item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        if self.eat(close) {
+            return Ok(Vec::new());
+        }
+        let out = self.parse_comma_sep(item)?;
+        self.expect(close)?;
+        Ok(out)
+    }
+
+    /// One `key: value` field of an object constructor.
+    fn parse_field(&mut self) -> Result<(String, Expr)> {
+        let key = match self.bump() {
+            Token::Str(s) | Token::Ident(s) => s,
+            other => {
+                return Err(QueryError::Syntax(format!("expected object key, found {other:?}")))
+            }
+        };
+        self.expect(&Token::Colon)?;
+        Ok((key, self.parse_expr()?))
+    }
+
+    /// An identifier-led primary (the identifier is consumed): CASE,
+    /// EXISTS, a keyword literal, a function call or a variable.
+    fn parse_ident(&mut self, name: String) -> Result<Expr> {
+        let is = |kw: &str| name.eq_ignore_ascii_case(kw);
+        if is("case") {
+            return self.parse_case();
+        }
+        if is("exists") {
+            self.expect(&Token::LParen)?;
+            let inner = self.parse_query_or_expr()?;
+            self.expect(&Token::RParen)?;
+            return Ok(Expr::Exists(Box::new(inner)));
+        }
+        let lit = if is("true") {
+            Value::Bool(true)
+        } else if is("false") {
+            Value::Bool(false)
+        } else if is("null") {
+            Value::Null
+        } else if is("missing") {
+            Value::Missing
+        } else if self.eat(&Token::LParen) {
+            let args = self.parse_list(&Token::RParen, |p| {
+                if p.eat(&Token::Star) {
+                    Ok(Expr::Wildcard)
+                } else {
+                    p.parse_query_or_expr()
+                }
+            })?;
+            return Ok(Expr::Call { name, args });
+        } else {
+            return Ok(Expr::Ident(name));
+        };
+        Ok(Expr::Literal(lit))
+    }
+
+    /// `CASE [operand] WHEN .. THEN .. [ELSE ..] END`, after `CASE`.
     fn parse_case(&mut self) -> Result<Expr> {
-        self.expect_kw("case")?;
         let operand =
             if self.peek().is_kw("when") { None } else { Some(Box::new(self.parse_expr()?)) };
         let mut whens = Vec::new();

@@ -31,14 +31,14 @@ use idea_hyracks::Cluster;
 use idea_obs::names;
 use parking_lot::Mutex;
 
-use crate::ast::{Expr, Statement};
+use crate::ast::{Expr, FromItem, FromSource, SelectBlock, SelectClause, Statement};
 use crate::catalog::Catalog;
 use crate::error::QueryError;
 use crate::exec::{eval_block, Env, ExecContext, ExecStats, PlanCache};
 use crate::expr::eval_expr;
 use crate::parallel::ParallelRuntime;
 use crate::parser::parse_statements;
-use crate::stream::{scan_streamable, RowStream, ScanStream, DEFAULT_BATCH_SIZE};
+use crate::stream::{BlockStream, RowStream, DEFAULT_BATCH_SIZE};
 use crate::udf::FunctionDef;
 use crate::Result;
 
@@ -328,10 +328,11 @@ impl Session {
 
     /// Parses a single query and returns its result as a [`RowStream`].
     ///
-    /// Streamable blocks (see [`crate::stream`]) evaluate lazily — only
-    /// one batch of rows is ever materialized at a time; on a parallel
-    /// session, eligible blocks stream live from the merge collector of
-    /// a partitioned job. Everything else falls back to the
+    /// On a parallel session, eligible blocks stream live from the merge
+    /// collector of a partitioned job. Otherwise a single-dataset block
+    /// without ORDER BY, GROUP BY, aggregates or DISTINCT streams off its
+    /// driver scan — only one batch of rows is ever materialized at a
+    /// time (see [`crate::stream`]). Everything else falls back to the
     /// materializing evaluator and re-chunks the finished result, so
     /// this is total over the same query set as [`Session::query`].
     pub fn query_stream(&self, text: &str) -> Result<RowStream> {
@@ -378,8 +379,8 @@ impl Session {
 
         let mut ctx = self.fresh_context();
         let plan = ctx.plan_for(&block)?;
-        if scan_streamable(&block, &plan) {
-            return Ok(RowStream::scan(ScanStream::new(block, ctx, self.batch_size)?));
+        if let Some(rows) = BlockStream::start(&block, &plan, &Env::new(), &mut ctx)? {
+            return Ok(RowStream::driver(block, ctx, rows, self.batch_size));
         }
         // Not streamable: materialize (possibly via the parallel path,
         // which handles sorts/groups at the merge stage) and re-chunk.
@@ -463,27 +464,19 @@ impl Session {
             }
             Statement::Delete { dataset, alias, where_clause } => {
                 let ds = self.catalog.dataset(dataset)?;
-                let pk_field = ds.partitions()[0].primary_key_field().clone();
-                let mut pks = Vec::new();
-                {
-                    let mut ctx = self.fresh_context();
-                    let base = Env::new();
-                    for snap in ds.snapshot_all() {
-                        for rec in snap.iter() {
-                            let keep = match where_clause {
-                                None => true,
-                                Some(w) => {
-                                    let env = base.bind(alias.clone(), rec.clone());
-                                    eval_expr(w, &env, &mut ctx)?.is_true()
-                                }
-                            };
-                            if keep {
-                                pks.push(pk_field.get(&rec).clone());
-                            }
-                        }
-                    }
-                    self.finish(ctx);
-                }
+                // The victims' keys are the rows of
+                // `SELECT VALUE alias.pk FROM dataset alias WHERE ...`.
+                let pk_path = ds.partitions()[0].primary_key_field().parts().iter();
+                let pk = pk_path
+                    .fold(Expr::Ident(alias.clone()), |e, f| Expr::Field(Box::new(e), f.clone()));
+                let mut block = SelectBlock::empty();
+                block.select = SelectClause::Value(Box::new(pk));
+                let source = FromSource::Name(dataset.clone());
+                block.from.push(FromItem { source, alias: alias.clone(), hint: None });
+                block.where_clause = where_clause.clone();
+                let mut ctx = self.fresh_context();
+                let pks = eval_block(&block, &Env::new(), &mut ctx)?;
+                self.finish(ctx);
                 let mut n = 0;
                 for pk in pks {
                     if ds.partition_for(&pk).delete(&pk)? {

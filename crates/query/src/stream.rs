@@ -5,21 +5,24 @@
 //! call, fatal for a server that must fan results out to thousands of
 //! sockets. [`Session::query_stream`](crate::Session::query_stream)
 //! returns a [`RowStream`] instead: a pull-based iterator over result
-//! *batches*, backed by whichever of three sources fits the query:
+//! *batches*. A session tries three sources, in order:
 //!
-//! * **Scan** — single-dataset blocks with no ORDER BY / GROUP BY /
-//!   DISTINCT / aggregates evaluate lazily: the stream pins the
-//!   dataset's snapshots up front and runs the filter/LET/projection
-//!   pipeline one batch of input records at a time, so only one output
-//!   batch is ever materialized;
-//! * **Parallel** — on a parallel session, streamable blocks run as a
-//!   partitioned Hyracks job whose merge collector forwards frames
-//!   through the [`ResultChannel`](idea_hyracks::ResultChannel) as they
-//!   arrive (see [`crate::parallel`]);
-//! * **Materialized** — everything else (sorts, groups, joins with
-//!   non-streamable plans) falls back to the sequential evaluator and
-//!   re-chunks the finished result, so the API is total even when
-//!   laziness is impossible.
+//! * **Parallel** — on a parallel session, a block whose merge stage
+//!   needs no cross-batch state runs as a partitioned Hyracks job whose
+//!   merge collector forwards frames through the
+//!   [`ResultChannel`](idea_hyracks::ResultChannel) as they arrive (see
+//!   [`crate::parallel`]);
+//! * **Driver scan** — a single-dataset block with no ORDER BY, GROUP
+//!   BY, aggregates or DISTINCT pulls its dataset through the one
+//!   driver scan (`vector::DriverScan`) a chunk at a time —
+//!   compiled kernels and columnar page skipping when the block
+//!   vectorized, the row-path filters otherwise — and projects at most
+//!   one output batch at a time (`BlockStream`). The in-process
+//!   vectorized evaluator collects the same stream, so a served query
+//!   and `Session::query` run the same code;
+//! * **Materialized** — everything else (sorts, groups, joins) runs the
+//!   materializing evaluator and re-chunks the finished result, so the
+//!   API is total even when laziness is impossible.
 //!
 //! [`RowStream::peak_resident`] reports the largest number of result
 //! rows the stream ever held materialized at once — the instrument the
@@ -30,164 +33,113 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use idea_adm::Value;
-use idea_storage::dataset::DatasetSnapshot;
 
 use crate::ast::{FromSource, SelectBlock};
-use crate::error::QueryError;
-use crate::exec::{
-    apply_lets_and_post_filters, eval_limit, join_from, project, BindSlot, Env, ExecContext,
-};
-use crate::expr::eval_expr;
+use crate::exec::{bind_pre_lets, eval_limit, Env, ExecContext};
 use crate::parallel::ParallelStream;
 use crate::plan::{AccessPath, BlockPlan};
+use crate::vector::{Chunk, DriverScan};
 use crate::Result;
 
 /// Default number of rows per [`RowStream`] batch.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
 
-/// Whether `block` can be evaluated lazily by [`ScanStream`]: a single
-/// full-scan FROM item over a catalog dataset, with no operation that
-/// needs the whole result set before the first row (ORDER BY, GROUP BY,
-/// aggregates, DISTINCT). WHERE, LETs and LIMIT are fine.
-pub(crate) fn scan_streamable(block: &SelectBlock, plan: &BlockPlan) -> bool {
-    if block.from.len() != 1 || plan.from_order.len() != 1 {
-        return false;
-    }
-    let fp0 = &plan.from_order[0];
-    matches!(fp0.path, AccessPath::Materialize)
-        && matches!(block.from[fp0.item_idx].source, FromSource::Name(_))
-        && block.group_by.is_empty()
-        && !plan.has_aggregates
-        && block.order_by.is_empty()
-        && !block.distinct
-}
-
-/// Lazy sequential evaluation of a streamable block: input records are
-/// pulled from the pinned snapshots in batches and pushed through the
-/// same filter/LET/projection helpers the materializing evaluator uses.
-pub(crate) struct ScanStream {
-    block: Arc<SelectBlock>,
-    ctx: ExecContext,
-    /// Outer environment with the block's pre-LETs bound.
-    env: Env,
-    plan: Arc<BlockPlan>,
-    /// Remaining partitions, last first (consumed by `pop`).
-    parts: Vec<DatasetSnapshot>,
-    /// Current partition's remaining records, last first. Holds `Arc`
-    /// pointers into the snapshot, not copies of the records.
-    pending: Vec<Arc<Value>>,
-    /// Rows the stream may still emit under the block's LIMIT.
+/// A block evaluated straight off its driver scan: survivors are
+/// projected a bounded number of rows at a time, and LIMIT stops the
+/// scan (rows past it are never evaluated).
+pub(crate) struct BlockStream {
+    scan: DriverScan,
+    /// The chunk being projected and the position of its next row.
+    cur: Option<(Chunk, usize)>,
+    /// Rows the block's LIMIT still allows.
     remaining: Option<usize>,
-    batch_size: usize,
 }
 
-impl ScanStream {
-    /// Builds the stream, pinning the dataset's snapshots. The caller
-    /// has already checked [`scan_streamable`].
-    pub(crate) fn new(
-        block: Arc<SelectBlock>,
-        mut ctx: ExecContext,
-        batch_size: usize,
-    ) -> Result<ScanStream> {
-        let plan = ctx.plan_for(&block)?;
-        let mut env = Env::new();
-        for (name, e) in &block.pre_lets {
-            let v = eval_expr(e, &env, &mut ctx)?;
-            env = env.bind_value(name.clone(), v);
-        }
-        let remaining = match &block.limit {
-            Some(l) => Some(eval_limit(l, &env, &mut ctx)?),
-            None => None,
-        };
-        let fp0 = &plan.from_order[0];
-        let FromSource::Name(ds_name) = &block.from[fp0.item_idx].source else {
-            return Err(QueryError::Eval("scan stream driver must be a dataset".into()));
-        };
-        let snaps = ctx.snapshots_for(ds_name)?;
-        let mut parts: Vec<DatasetSnapshot> = snaps.iter().cloned().collect();
-        parts.reverse();
-        Ok(ScanStream { block, ctx, env, plan, parts, pending: Vec::new(), remaining, batch_size })
-    }
-
-    /// Pulls the next batch of input records (up to `batch_size`), or
-    /// `None` when every partition is exhausted.
-    fn next_input(&mut self) -> Option<Vec<Arc<Value>>> {
-        loop {
-            if self.pending.is_empty() {
-                let part = self.parts.pop()?;
-                self.pending = part.iter().collect();
-                self.pending.reverse();
-                continue;
-            }
-            let n = self.pending.len().min(self.batch_size);
-            let at = self.pending.len() - n;
-            let mut chunk = self.pending.split_off(at);
-            chunk.reverse();
-            return Some(chunk);
-        }
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Value>>> {
-        if self.remaining == Some(0) {
+impl BlockStream {
+    /// Starts the stream, pinning the dataset's snapshots in `ctx`, or
+    /// returns `None` when `block` cannot stream from one driver scan.
+    /// It can when it has a single full-scan FROM item over a catalog
+    /// dataset and no operation that needs the whole result before the
+    /// first row (ORDER BY, GROUP BY, aggregates, DISTINCT); WHERE, LETs
+    /// and LIMIT are fine. `env` is the outer environment; the block's
+    /// pre-LETs bind over it.
+    pub(crate) fn start(
+        block: &SelectBlock,
+        plan: &Arc<BlockPlan>,
+        env: &Env,
+        ctx: &mut ExecContext,
+    ) -> Result<Option<BlockStream>> {
+        let [fp] = plan.from_order.as_slice() else { return Ok(None) };
+        let FromSource::Name(ds) = &block.from[fp.item_idx].source else { return Ok(None) };
+        if !matches!(fp.path, AccessPath::Materialize)
+            || !block.group_by.is_empty()
+            || plan.has_aggregates
+            || !block.order_by.is_empty()
+            || block.distinct
+        {
             return Ok(None);
         }
-        loop {
-            let Some(chunk) = self.next_input() else { return Ok(None) };
-            let fp0 = &self.plan.from_order[0];
-            let item = &self.block.from[fp0.item_idx];
-            // Driver filters: self-filters see only the alias, residuals
-            // the full row — the same split the materializing path uses.
-            // The self-filter environment is one rebindable slot, not a
-            // fresh `Env` per record.
-            let mut fslot = BindSlot::new(&Env::new(), item.alias.clone());
-            let mut rows = Vec::new();
-            'rec: for rec in chunk {
-                self.ctx.stats.rows_scanned += 1;
-                if !fp0.self_filter.is_empty() {
-                    let fenv = fslot.set(rec.clone());
-                    for f in &fp0.self_filter {
-                        if !eval_expr(f, fenv, &mut self.ctx)?.is_true() {
-                            continue 'rec;
-                        }
-                    }
+        let env = bind_pre_lets(block, env, ctx)?;
+        let remaining = block.limit.as_ref().map(|l| eval_limit(l, &env, ctx)).transpose()?;
+        let parts = ctx.snapshots_for(ds)?.to_vec();
+        ctx.stats.materializations += 1;
+        let scan = match plan.vec.as_ref().filter(|_| ctx.vectorize) {
+            Some(vp) => DriverScan::kernels(vp.clone(), 0, false, parts),
+            None => {
+                if ctx.vectorize {
+                    ctx.note_vec_fallback(plan);
                 }
-                let cenv = self.env.bind(item.alias.clone(), rec);
-                for r in &fp0.residual {
-                    if !eval_expr(r, &cenv, &mut self.ctx)?.is_true() {
-                        continue 'rec;
-                    }
-                }
-                rows.push(cenv);
+                DriverScan::rows(block, plan.clone(), env, parts)
             }
-            let rows = join_from(&self.block, &self.plan, 1, rows, &mut self.ctx)?;
-            let rows = apply_lets_and_post_filters(&self.block, &self.plan, rows, &mut self.ctx)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for renv in rows {
-                out.push(project(&self.block, &renv, &mut self.ctx, None)?);
-            }
-            if let Some(rem) = &mut self.remaining {
-                if out.len() >= *rem {
-                    out.truncate(*rem);
-                    *rem = 0;
-                } else {
-                    *rem -= out.len();
+        };
+        Ok(Some(BlockStream { scan, cur: None, remaining }))
+    }
+
+    /// Up to `max` more result rows, or `None` at the end of the stream.
+    /// Never returns an empty batch.
+    pub(crate) fn next_rows(
+        &mut self,
+        block: &SelectBlock,
+        ctx: &mut ExecContext,
+        max: usize,
+    ) -> Result<Option<Vec<Value>>> {
+        let want = self.remaining.map_or(max, |r| r.min(max));
+        let mut out = Vec::new();
+        while out.len() < want {
+            if self.cur.is_none() {
+                match self.scan.next_chunk(ctx)? {
+                    Some(chunk) => self.cur = Some((chunk, 0)),
+                    None => break,
                 }
             }
-            if !out.is_empty() {
-                return Ok(Some(out));
-            }
-            if self.remaining == Some(0) {
-                return Ok(None);
+            let (chunk, pos) = self.cur.as_mut().expect("a chunk is loaded");
+            let end = *pos + (chunk.len() - *pos).min(want - out.len());
+            self.scan.project(block, chunk, *pos..end, ctx, &mut out)?;
+            *pos = end;
+            if end == chunk.len() {
+                self.cur = None;
             }
         }
+        if let Some(r) = &mut self.remaining {
+            *r -= out.len();
+        }
+        Ok((!out.is_empty()).then_some(out))
     }
+}
+
+/// What a [`Source::Driver`] stream owns: the block, the statement's
+/// execution context (which pins the snapshots), and the stream itself.
+struct DriverSource {
+    block: Arc<SelectBlock>,
+    ctx: ExecContext,
+    rows: BlockStream,
 }
 
 enum Source {
     /// Fully materialized result, re-chunked for a uniform consumer API.
     Materialized(VecDeque<Value>),
-    /// Lazy sequential scan.
-    Scan(Box<ScanStream>),
+    /// A block streamed off its driver scan.
+    Driver(Box<DriverSource>),
     /// Live parallel invocation fed by the merge collector.
     Parallel(ParallelStream),
 }
@@ -202,7 +154,6 @@ pub struct RowStream {
     batch_size: usize,
     /// Largest number of result rows ever resident at once.
     peak_resident: usize,
-    rows_emitted: usize,
     /// Row-at-a-time buffer for the `Iterator` impl.
     buf: VecDeque<Value>,
     fused: bool,
@@ -212,14 +163,13 @@ impl std::fmt::Debug for RowStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let source = match &self.source {
             Source::Materialized(_) => "materialized",
-            Source::Scan(_) => "scan",
+            Source::Driver(_) => "driver scan",
             Source::Parallel(_) => "parallel",
         };
         f.debug_struct("RowStream")
             .field("source", &source)
             .field("batch_size", &self.batch_size)
             .field("peak_resident", &self.peak_resident)
-            .field("rows_emitted", &self.rows_emitted)
             .finish()
     }
 }
@@ -230,7 +180,6 @@ impl RowStream {
             source,
             batch_size: batch_size.max(1),
             peak_resident: initial_resident,
-            rows_emitted: 0,
             buf: VecDeque::new(),
             fused: false,
         }
@@ -243,24 +192,24 @@ impl RowStream {
         RowStream::new(Source::Materialized(rows.into()), batch_size, n)
     }
 
-    pub(crate) fn scan(stream: ScanStream) -> RowStream {
-        let batch = stream.batch_size;
-        RowStream::new(Source::Scan(Box::new(stream)), batch, 0)
+    pub(crate) fn driver(
+        block: Arc<SelectBlock>,
+        ctx: ExecContext,
+        rows: BlockStream,
+        batch_size: usize,
+    ) -> RowStream {
+        let source = DriverSource { block, ctx, rows };
+        RowStream::new(Source::Driver(Box::new(source)), batch_size, 0)
     }
 
     pub(crate) fn parallel(stream: ParallelStream, batch_size: usize) -> RowStream {
         RowStream::new(Source::Parallel(stream), batch_size, 0)
     }
 
-    /// Whether this stream evaluates lazily (scan or parallel source) as
-    /// opposed to re-chunking a materialized result.
+    /// Whether this stream evaluates lazily (driver-scan or parallel
+    /// source) as opposed to re-chunking a materialized result.
     pub fn is_streaming(&self) -> bool {
         !matches!(self.source, Source::Materialized(_))
-    }
-
-    /// The target number of rows per batch.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
     }
 
     /// The largest number of result rows this stream (and its producer)
@@ -271,42 +220,20 @@ impl RowStream {
         self.peak_resident
     }
 
-    /// Rows handed to the consumer so far.
-    pub fn rows_emitted(&self) -> usize {
-        self.rows_emitted
-    }
-
     /// The next batch of rows, or `None` at end-of-stream.
     pub fn next_batch(&mut self) -> Result<Option<Vec<Value>>> {
         let batch = match &mut self.source {
             Source::Materialized(rows) => {
-                if rows.is_empty() {
-                    None
-                } else {
-                    let n = rows.len().min(self.batch_size);
-                    Some(rows.drain(..n).collect::<Vec<_>>())
-                }
+                let n = rows.len().min(self.batch_size);
+                (n > 0).then(|| rows.drain(..n).collect())
             }
-            Source::Scan(s) => s.next_batch()?,
+            Source::Driver(d) => d.rows.next_rows(&d.block, &mut d.ctx, self.batch_size)?,
             Source::Parallel(p) => p.next_batch()?,
         };
-        if let Some(b) = &batch {
-            if self.is_streaming() {
-                self.peak_resident = self.peak_resident.max(b.len());
-            }
-            self.rows_emitted += b.len();
+        if let (Some(b), true) = (&batch, self.is_streaming()) {
+            self.peak_resident = self.peak_resident.max(b.len());
         }
         Ok(batch)
-    }
-
-    /// Drains the stream into a single `Value::Array` — the value
-    /// [`Session::query`](crate::Session::query) would have returned.
-    pub fn collect_value(mut self) -> Result<Value> {
-        let mut rows = Vec::new();
-        while let Some(mut b) = self.next_batch()? {
-            rows.append(&mut b);
-        }
-        Ok(Value::Array(rows))
     }
 }
 

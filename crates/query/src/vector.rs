@@ -8,6 +8,10 @@
 //! join keys, and projection — no per-row [`Env`] allocation anywhere on
 //! the hot path.
 //!
+//! Every dataset scan here — driver and hash-build sides alike — runs
+//! through `DriverScan`, the one scan-and-filter loop outside the row
+//! oracle; parallel scan tasks and streamed results drive it too.
+//!
 //! The row-at-a-time interpreter in [`crate::exec`] stays the
 //! differential oracle: every observable behavior here (result
 //! multisets, unknown propagation, comparison/hash semantics, error
@@ -34,16 +38,20 @@ use std::time::Instant;
 use idea_adm::functions::numeric::{arith, ArithOp};
 use idea_adm::functions::{self};
 use idea_adm::{Object, Value};
-use idea_storage::{PageData, PageField};
+use idea_storage::{ColumnarPage, ColumnarReader, DatasetSnapshot, PageData, PageField};
 
 use crate::ast::{BinOp, Expr, FromSource, SelectBlock, SelectClause, SelectItem};
 use crate::batch::{
     build_batch, infer_types, Batch, Bitmap, ColType, Column, ValueRef, BATCH_ROWS,
 };
 use crate::error::QueryError;
-use crate::exec::{compare_order_keys, dedup_values, derived_name, eval_limit, Env, ExecContext};
+use crate::exec::{
+    apply_lets_and_post_filters, compare_order_keys, dedup_values, derived_name, eval_limit,
+    project, BindSlot, Env, ExecContext,
+};
 use crate::expr::{eval_expr, is_builtin};
-use crate::plan::{AccessPath, FromPlan, AGGREGATES};
+use crate::plan::{AccessPath, BlockPlan, FromPlan, AGGREGATES};
+use crate::stream::BlockStream;
 use crate::Result;
 
 /// Rows sampled from the head of a scan for schema inference.
@@ -181,6 +189,15 @@ impl VecPlan {
     /// driver filters already include the post filters.
     pub(crate) fn has_join(&self) -> bool {
         self.join.is_some()
+    }
+
+    /// Side `side`'s scan spec and the kernels that filter it: the
+    /// driver (0) or the hash-join build side (1).
+    fn side(&self, side: usize) -> (&SideSpec, &[VecExpr]) {
+        match (&self.join, side) {
+            (Some(j), 1) => (&j.side, &j.self_filter),
+            _ => (&self.driver, &self.d_filters),
+        }
     }
 
     /// Whether evaluating the plan ever reads side `side`'s records as
@@ -1020,64 +1037,277 @@ fn filter_pass(
 }
 
 // ---------------------------------------------------------------------
-// Scan
+// Driver scan
 
-/// Scans a dataset into columnar batches: snapshot pinned through the
-/// context (so repeated scans in one context see one version). A
-/// partition sealed as a single columnar component is sliced
-/// page-by-page (no per-record transpose, footer-stat page skipping
-/// against `filters`); everything else infers a schema from the head
-/// sample and transposes records at batch granularity off the
-/// snapshot's `iter_batches`. Bumps batch stats/metrics; the caller
-/// adds path-specific counters (`materializations` vs `hash_builds`).
-fn scan_batches(
-    ctx: &mut ExecContext,
-    side: &SideSpec,
-    filters: &[VecExpr],
-    side_no: usize,
-    needs_rows: bool,
-) -> Result<(Vec<Batch>, u64)> {
-    let snaps = ctx.snapshots_for(&side.ds)?;
-    // Schema inference only matters for row-path partitions; a fully
-    // columnar dataset skips the sampling pass entirely.
-    let mut types = if snaps.iter().any(|s| s.columnar().is_none()) {
-        let sample: Vec<Arc<Value>> =
-            snaps.iter().flat_map(|s| s.iter()).take(SAMPLE_ROWS).collect();
-        let mut types = infer_types(sample.iter().map(|r| r.as_ref()), &side.fields);
-        for (t, eager) in types.iter_mut().zip(&side.eager) {
-            if !eager {
-                *t = ColType::Lazy;
+/// What a [`DriverScan`] filters with.
+enum ScanFilter {
+    /// The kernels of side `side` of a compiled plan; `types` is the
+    /// schema row-layout partitions are transposed into.
+    Kernels { vp: Arc<VecPlan>, side: usize, needs_rows: bool, types: Vec<ColType> },
+    /// The block's row-path driver filters: self filters see only the
+    /// alias, residuals the outer environment with the alias bound.
+    Rows { plan: Arc<BlockPlan>, alias: String, env: Env, slot: BindSlot },
+}
+
+/// One chunk of driver-scan survivors; never empty.
+pub(crate) enum Chunk {
+    /// A scanned batch and the rows of it that passed the kernels.
+    Batch(Batch, Vec<u32>),
+    /// Row environments that passed the row-path filters.
+    Rows(Vec<Env>),
+}
+
+impl Chunk {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Chunk::Batch(_, sel) => sel.len(),
+            Chunk::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// The survivors as row environments: each record bound to `alias`
+    /// over `env`. Kernel batches must carry their records.
+    pub(crate) fn into_envs(self, env: &Env, alias: &str) -> Vec<Env> {
+        match self {
+            Chunk::Batch(b, sel) => {
+                sel.into_iter().map(|r| env.bind(alias, b.rows[r as usize].clone())).collect()
+            }
+            Chunk::Rows(rows) => rows,
+        }
+    }
+}
+
+/// The one driver scan: pulls a dataset's pinned partition snapshots a
+/// chunk at a time — one columnar page or `BATCH_ROWS` records — and
+/// applies a block's driver filters, so no caller holds more than one
+/// unfiltered chunk. The vectorized evaluator (driver and build sides),
+/// parallel scan tasks (one partition each) and streamed results
+/// (`stream::BlockStream`) all drive it.
+pub(crate) struct DriverScan {
+    filter: ScanFilter,
+    parts: Parts,
+}
+
+impl DriverScan {
+    /// Scans `parts` with the kernels of side `side` (0 = driver, 1 =
+    /// hash-join build side) of `vp`. `whole_rows` decodes records even
+    /// where the plan reads only columns.
+    pub(crate) fn kernels(
+        vp: Arc<VecPlan>,
+        side: usize,
+        whole_rows: bool,
+        parts: Vec<DatasetSnapshot>,
+    ) -> DriverScan {
+        let needs_rows = whole_rows || vp.needs_rows(side);
+        let (spec, _) = vp.side(side);
+        // Only row-layout partitions need the inferred schema.
+        let mut types = Vec::new();
+        if parts.iter().any(|s| s.columnar().is_none()) {
+            let sample: Vec<Arc<Value>> =
+                parts.iter().flat_map(|s| s.iter()).take(SAMPLE_ROWS).collect();
+            types = infer_types(sample.iter().map(|r| r.as_ref()), &spec.fields);
+            for (t, eager) in types.iter_mut().zip(&spec.eager) {
+                if !eager {
+                    *t = ColType::Lazy;
+                }
             }
         }
-        types
-    } else {
-        Vec::new()
-    };
+        DriverScan::new(ScanFilter::Kernels { vp, side, needs_rows, types }, parts)
+    }
 
-    let mut batches = Vec::new();
-    let mut n = 0u64;
-    for s in snaps.iter() {
-        if let Some(reader) = s.columnar() {
-            let (bs, cn) = columnar_batches(ctx, &reader, side, filters, side_no, needs_rows)?;
-            n += cn;
-            batches.extend(bs);
-        } else {
-            for chunk in s.iter_batches(BATCH_ROWS) {
-                n += chunk.len() as u64;
-                batches.push(build_batch(chunk, &side.fields, &mut types));
+    /// Scans `parts` with `block`'s row-path driver filters; survivors
+    /// extend `env`.
+    pub(crate) fn rows(
+        block: &SelectBlock,
+        plan: Arc<BlockPlan>,
+        env: Env,
+        parts: Vec<DatasetSnapshot>,
+    ) -> DriverScan {
+        let alias = block.from[plan.from_order[0].item_idx].alias.clone();
+        let slot = BindSlot::new(&Env::new(), alias.clone());
+        DriverScan::new(ScanFilter::Rows { plan, alias, env, slot }, parts)
+    }
+
+    fn new(filter: ScanFilter, parts: Vec<DatasetSnapshot>) -> DriverScan {
+        DriverScan { filter, parts: Parts { todo: parts.into_iter(), cur: Cursor::Next } }
+    }
+
+    /// The next chunk with at least one survivor, or `None` once every
+    /// partition is exhausted.
+    pub(crate) fn next_chunk(&mut self, ctx: &mut ExecContext) -> Result<Option<Chunk>> {
+        loop {
+            match &mut self.filter {
+                ScanFilter::Kernels { vp, side, needs_rows, types } => {
+                    let t = Instant::now();
+                    let Some(b) = self.parts.next_batch(ctx, vp, *side, *needs_rows, types)? else {
+                        return Ok(None);
+                    };
+                    let n = b.len() as u64;
+                    ctx.stats.rows_scanned += n;
+                    ctx.stats.batches_built += 1;
+                    ctx.stats.batch_rows += n;
+                    if let Some(m) = &ctx.metrics {
+                        m.counter(idea_obs::names::QUERY_BATCHES_BUILT).inc();
+                        m.histogram(idea_obs::names::QUERY_BATCH_ROWS).record_nanos(n);
+                    }
+                    let filtered = Instant::now();
+                    let mut sel: Vec<u32> = (0..n as u32).collect();
+                    for f in vp.side(*side).1 {
+                        if sel.is_empty() {
+                            break;
+                        }
+                        filter_pass(f, &b, *side, &mut sel, ctx)?;
+                    }
+                    if *side == 0 {
+                        ctx.stats.vec_scan_nanos += (filtered - t).as_nanos() as u64;
+                        ctx.stats.vec_filter_nanos += filtered.elapsed().as_nanos() as u64;
+                    }
+                    if !sel.is_empty() {
+                        return Ok(Some(Chunk::Batch(b, sel)));
+                    }
+                }
+                ScanFilter::Rows { plan, alias, env, slot } => {
+                    let Some(recs) = self.parts.next_records() else { return Ok(None) };
+                    ctx.stats.rows_scanned += recs.len() as u64;
+                    let fp0 = &plan.from_order[0];
+                    let mut rows = Vec::new();
+                    'rec: for rec in recs {
+                        if !fp0.self_filter.is_empty() {
+                            let fenv = slot.set(rec.clone());
+                            for f in &fp0.self_filter {
+                                if !eval_expr(f, fenv, ctx)?.is_true() {
+                                    continue 'rec;
+                                }
+                            }
+                        }
+                        let cenv = env.bind(alias.clone(), rec);
+                        for r in &fp0.residual {
+                            if !eval_expr(r, &cenv, ctx)?.is_true() {
+                                continue 'rec;
+                            }
+                        }
+                        rows.push(cenv);
+                    }
+                    if !rows.is_empty() {
+                        return Ok(Some(Chunk::Rows(rows)));
+                    }
+                }
             }
         }
     }
-    ctx.stats.batches_built += batches.len() as u64;
-    ctx.stats.batch_rows += n;
-    if let Some(m) = ctx.metrics.clone() {
-        m.counter(idea_obs::names::QUERY_BATCHES_BUILT).add(batches.len() as u64);
-        let h = m.histogram(idea_obs::names::QUERY_BATCH_ROWS);
-        for b in &batches {
-            h.record_nanos(b.len() as u64);
+
+    /// [`DriverScan::next_chunk`] of a kernel scan, which yields batches.
+    fn next_batch(&mut self, ctx: &mut ExecContext) -> Result<Option<(Batch, Vec<u32>)>> {
+        Ok(match self.next_chunk(ctx)? {
+            Some(Chunk::Batch(b, sel)) => Some((b, sel)),
+            Some(Chunk::Rows(_)) => unreachable!("kernel scans yield batches"),
+            None => None,
+        })
+    }
+
+    /// Projects survivors `range` of `chunk`, a chunk of this scan,
+    /// through the SELECT clause of `block` (an unordered, ungrouped,
+    /// joinless block) into `out`.
+    pub(crate) fn project(
+        &self,
+        block: &SelectBlock,
+        chunk: &Chunk,
+        range: std::ops::Range<usize>,
+        ctx: &mut ExecContext,
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        match (&self.filter, chunk) {
+            (ScanFilter::Kernels { vp, .. }, Chunk::Batch(b, sel)) => {
+                let VecTail::Plain { select, .. } = &vp.tail else {
+                    unreachable!("grouped plans are not projected per chunk")
+                };
+                let t = Instant::now();
+                for &r in &sel[range] {
+                    out.push(project_pair(select, RowCtx::one(0, b, r as usize), ctx)?);
+                }
+                ctx.stats.vec_merge_nanos += t.elapsed().as_nanos() as u64;
+            }
+            (ScanFilter::Rows { plan, .. }, Chunk::Rows(rows)) => {
+                let rows = apply_lets_and_post_filters(block, plan, rows[range].to_vec(), ctx)?;
+                for renv in &rows {
+                    out.push(project(block, renv, ctx, None)?);
+                }
+            }
+            _ => unreachable!("a scan projects only its own chunks"),
+        }
+        Ok(())
+    }
+}
+
+/// The partitions a [`DriverScan`] has yet to read, and its place in the
+/// current one.
+struct Parts {
+    todo: std::vec::IntoIter<DatasetSnapshot>,
+    cur: Cursor,
+}
+
+enum Cursor {
+    Next,
+    Records(std::vec::IntoIter<Arc<Value>>),
+    /// The next page of a partition sealed as one columnar component
+    /// (no memtable overlay), read only under kernels.
+    Pages {
+        reader: ColumnarReader,
+        page: u32,
+        prunes: Vec<Prune>,
+        must_rows: bool,
+    },
+}
+
+impl Parts {
+    fn take_records(&mut self) -> Option<Vec<Arc<Value>>> {
+        let Cursor::Records(it) = &mut self.cur else { return None };
+        let chunk: Vec<Arc<Value>> = it.by_ref().take(BATCH_ROWS).collect();
+        (!chunk.is_empty()).then_some(chunk)
+    }
+
+    /// Row-path input: the next records, opening partitions of any
+    /// layout as their records.
+    fn next_records(&mut self) -> Option<Vec<Arc<Value>>> {
+        loop {
+            if let Some(chunk) = self.take_records() {
+                return Some(chunk);
+            }
+            self.cur = Cursor::Records(self.todo.next()?.iter().collect::<Vec<_>>().into_iter());
         }
     }
-    Ok((batches, n))
+
+    /// Kernel input over side `side` of `vp`: the next page of a
+    /// columnar partition, or the next records of any other partition
+    /// transposed into `types`.
+    fn next_batch(
+        &mut self,
+        ctx: &mut ExecContext,
+        vp: &VecPlan,
+        side: usize,
+        needs_rows: bool,
+        types: &mut [ColType],
+    ) -> Result<Option<Batch>> {
+        let (spec, filters) = vp.side(side);
+        loop {
+            if let Cursor::Pages { reader, page, prunes, must_rows } = &mut self.cur {
+                while (*page as usize) < reader.file().page_count() {
+                    *page += 1;
+                    let at = *page - 1;
+                    if let Some(b) = read_page(ctx, reader, at, prunes, *must_rows, &spec.fields)? {
+                        return Ok(Some(b));
+                    }
+                }
+            } else if let Some(chunk) = self.take_records() {
+                return Ok(Some(build_batch(chunk, &spec.fields, types)));
+            }
+            let Some(snap) = self.todo.next() else { return Ok(None) };
+            self.cur = match snap.columnar() {
+                Some(reader) => open_pages(ctx, reader, spec, filters, side, needs_rows),
+                None => Cursor::Records(snap.iter().collect::<Vec<_>>().into_iter()),
+            };
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1212,81 +1442,87 @@ fn assemble_columns(
         .collect()
 }
 
-/// Slices a single columnar component into batches, one page each:
-/// footer min/max stats skip pages no pruning conjunct can match
-/// (before any I/O), typed page vectors move into batch columns with no
-/// per-record transpose, and row sections are decoded only where
-/// required — tombstoned pages, per-page demotions, dotted fields, or a
-/// plan that reads whole records.
-fn columnar_batches(
+/// Opens a partition sealed as one columnar component for a kernel scan
+/// over `spec`. A pruning conjunct on a field absent from the whole
+/// component skips every page at once.
+fn open_pages(
     ctx: &mut ExecContext,
-    reader: &idea_storage::ColumnarReader,
-    side: &SideSpec,
+    reader: ColumnarReader,
+    spec: &SideSpec,
     filters: &[VecExpr],
-    side_no: usize,
+    side: usize,
     needs_rows: bool,
-) -> Result<(Vec<Batch>, u64)> {
-    let file = reader.file();
-    let (prunes, provably_empty) = collect_prunes(filters, side_no, &side.fields, file);
+) -> Cursor {
+    let (prunes, provably_empty) = collect_prunes(filters, side, &spec.fields, reader.file());
+    if provably_empty {
+        count_pages(ctx, 0, reader.file().page_count() as u64, 0);
+        return Cursor::Next;
+    }
     // Dotted fields read nested leaves the (top-level) page schema
     // can't answer; their columns stay lazy over the records.
-    let must_rows = needs_rows || side.fields.iter().any(|f| f.contains('.'));
+    let must_rows = needs_rows || spec.fields.iter().any(|f| f.contains('.'));
+    Cursor::Pages { reader, page: 0, prunes, must_rows }
+}
 
-    let mut batches = Vec::new();
-    let mut n = 0u64;
-    let (mut scanned, mut skipped, mut fallbacks) = (0u64, 0u64, 0u64);
-    if provably_empty {
-        skipped += file.page_count() as u64;
-    } else {
-        'pages: for page in 0..file.page_count() as u32 {
-            for p in &prunes {
-                if let Some((lo, hi)) = file.page_stats(page, p.field) {
-                    if !range_may_match(p.op, lo, hi, &p.lit) {
-                        skipped += 1;
-                        continue 'pages;
-                    }
-                }
+/// Reads one page of a columnar component as a batch, or `None` when its
+/// footer min/max stats show no pruning conjunct can match (skipped
+/// before any I/O). Typed page vectors move into batch columns with no
+/// per-record transpose; row sections are decoded only where required —
+/// tombstoned pages, per-page demotions, dotted fields, or a plan that
+/// reads whole records.
+fn read_page(
+    ctx: &mut ExecContext,
+    reader: &ColumnarReader,
+    page: u32,
+    prunes: &[Prune],
+    must_rows: bool,
+    fields: &[String],
+) -> Result<Option<Batch>> {
+    let file = reader.file();
+    for p in prunes {
+        if let Some((lo, hi)) = file.page_stats(page, p.field) {
+            if !range_may_match(p.op, lo, hi, &p.lit) {
+                count_pages(ctx, 0, 1, 0);
+                return Ok(None);
             }
-            scanned += 1;
-            if file.page_tombstones(page) > 0 {
-                // Tombstoned pages carry no typed columns; their live
-                // rows go through the (always-correct) record builder.
-                fallbacks += 1;
-                let entries = reader.read_rows(page)?;
-                let rows: Vec<Arc<Value>> = entries.iter().filter_map(|e| e.clone()).collect();
-                n += rows.len() as u64;
-                let mut lazy = vec![ColType::Lazy; side.fields.len()];
-                batches.push(build_batch(rows, &side.fields, &mut lazy));
-                continue;
-            }
-            // Projected reads: only the plan's fields are decoded from
-            // the page; the rest are byte-skipped (the frame CRC still
-            // covers the whole payload, so corruption is still caught).
-            let (page_cols, rows) = if must_rows {
-                let (c, entries) = reader.read_full_proj(page, &side.fields)?;
-                (c, entries.into_iter().map(|e| e.expect("live row in clean page")).collect())
-            } else {
-                let c = reader.read_columns_proj(page, &side.fields)?;
-                if page_demotes(&c, &side.fields) {
-                    // Mixed-type page: re-read with the row section so
-                    // the demoted fields can read lazily.
-                    let (c, entries) = reader.read_full_proj(page, &side.fields)?;
-                    (c, entries.into_iter().map(|e| e.expect("live row in clean page")).collect())
-                } else {
-                    (c, Vec::new())
-                }
-            };
-            let rows: Vec<Arc<Value>> = rows;
-            let have_rows = !rows.is_empty();
-            if have_rows {
-                fallbacks += 1;
-            }
-            let nrows = page_cols.row_count;
-            let cols = assemble_columns(page_cols, &side.fields, have_rows, nrows);
-            n += nrows as u64;
-            batches.push(Batch::from_columns(rows, cols, nrows));
         }
     }
+    if file.page_tombstones(page) > 0 {
+        // Tombstoned pages carry no typed columns; their live rows go
+        // through the (always-correct) record builder.
+        count_pages(ctx, 1, 0, 1);
+        let rows: Vec<Arc<Value>> = reader.read_rows(page)?.iter().flatten().cloned().collect();
+        let mut lazy = vec![ColType::Lazy; fields.len()];
+        return Ok(Some(build_batch(rows, fields, &mut lazy)));
+    }
+    // Projected reads: only the plan's fields are decoded from the page;
+    // the rest are byte-skipped (the frame CRC still covers the whole
+    // payload, so corruption is still caught).
+    let with_rows = |(c, entries): (ColumnarPage, Vec<Option<Arc<Value>>>)| {
+        (c, entries.into_iter().map(|e| e.expect("live row in clean page")).collect())
+    };
+    let (page_cols, rows): (ColumnarPage, Vec<Arc<Value>>) = if must_rows {
+        with_rows(reader.read_full_proj(page, fields)?)
+    } else {
+        let c = reader.read_columns_proj(page, fields)?;
+        if page_demotes(&c, fields) {
+            // Mixed-type page: re-read with the row section so the
+            // demoted fields can read lazily.
+            with_rows(reader.read_full_proj(page, fields)?)
+        } else {
+            (c, Vec::new())
+        }
+    };
+    let have_rows = !rows.is_empty();
+    count_pages(ctx, 1, 0, have_rows as u64);
+    let nrows = page_cols.row_count;
+    let cols = assemble_columns(page_cols, fields, have_rows, nrows);
+    Ok(Some(Batch::from_columns(rows, cols, nrows)))
+}
+
+/// Adds to the columnar page counters: pages sliced, pages skipped by
+/// footer stats, and pages that fell back to decoding records.
+fn count_pages(ctx: &mut ExecContext, scanned: u64, skipped: u64, fallbacks: u64) {
     ctx.stats.columnar_pages_scanned += scanned;
     ctx.stats.columnar_pages_skipped += skipped;
     if let Some(m) = &ctx.metrics {
@@ -1294,82 +1530,6 @@ fn columnar_batches(
         m.counter(idea_obs::names::COLUMNAR_PAGES_SKIPPED).add(skipped);
         m.counter(idea_obs::names::COLUMNAR_ROW_FALLBACK_PAGES).add(fallbacks);
     }
-    Ok((batches, n))
-}
-
-/// Per-partition vectorized driver scan for the parallel runtime: builds
-/// batches from one partition's snapshot, applies the plan's driver-only
-/// filters, and returns the surviving records in scan order. The join /
-/// post pipeline (when present) stays row-at-a-time in the scan task —
-/// only the hot scan+filter loop is vectorized per partition.
-pub(crate) fn scan_partition(
-    vp: &VecPlan,
-    snap: &idea_storage::DatasetSnapshot,
-    ctx: &mut ExecContext,
-) -> Result<Vec<Arc<Value>>> {
-    let metrics = ctx.metrics.clone();
-    let rows_hist = metrics.as_ref().map(|m| m.histogram(idea_obs::names::QUERY_BATCH_ROWS));
-
-    // A sealed columnar partition slices pages directly. The scan task
-    // returns whole records, so rows are always decoded alongside.
-    if let Some(reader) = snap.columnar() {
-        let (bs, n) = columnar_batches(ctx, &reader, &vp.driver, &vp.d_filters, 0, true)?;
-        ctx.stats.rows_scanned += n;
-        ctx.stats.batch_rows += n;
-        ctx.stats.batches_built += bs.len() as u64;
-        if let Some(m) = &metrics {
-            m.counter(idea_obs::names::QUERY_BATCHES_BUILT).add(bs.len() as u64);
-        }
-        let mut out = Vec::new();
-        for b in bs {
-            if let Some(h) = &rows_hist {
-                h.record_nanos(b.len() as u64);
-            }
-            let mut sel: Vec<u32> = (0..b.len() as u32).collect();
-            for f in &vp.d_filters {
-                if sel.is_empty() {
-                    break;
-                }
-                filter_pass(f, &b, 0, &mut sel, ctx)?;
-            }
-            out.extend(sel.into_iter().map(|r| b.rows[r as usize].clone()));
-        }
-        return Ok(out);
-    }
-
-    let sample: Vec<Arc<Value>> = snap.iter().take(SAMPLE_ROWS).collect();
-    let mut types = infer_types(sample.iter().map(|r| r.as_ref()), &vp.driver.fields);
-    drop(sample);
-    for (t, eager) in types.iter_mut().zip(&vp.driver.eager) {
-        if !eager {
-            *t = ColType::Lazy;
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut batches = 0u64;
-    for chunk in snap.iter_batches(BATCH_ROWS) {
-        ctx.stats.rows_scanned += chunk.len() as u64;
-        ctx.stats.batch_rows += chunk.len() as u64;
-        batches += 1;
-        if let Some(h) = &rows_hist {
-            h.record_nanos(chunk.len() as u64);
-        }
-        let b = build_batch(chunk, &vp.driver.fields, &mut types);
-        let mut sel: Vec<u32> = (0..b.len() as u32).collect();
-        for f in &vp.d_filters {
-            if sel.is_empty() {
-                break;
-            }
-            filter_pass(f, &b, 0, &mut sel, ctx)?;
-        }
-        out.extend(sel.into_iter().map(|r| b.rows[r as usize].clone()));
-    }
-    ctx.stats.batches_built += batches;
-    if let Some(m) = &metrics {
-        m.counter(idea_obs::names::QUERY_BATCHES_BUILT).add(batches);
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -1506,38 +1666,33 @@ fn pair_ctx<'a>(
     RowCtx { sides }
 }
 
-/// Runs a compiled [`VecPlan`]. Returns the block's result rows with the
-/// same multiset (and, under ORDER BY, order) the row path produces.
+/// Runs the compiled [`VecPlan`] of `plan`. Returns the block's result
+/// rows with the same multiset (and, under ORDER BY, order) the row path
+/// produces. A block `BlockStream` can stream is collected from it, so
+/// in-process and streamed queries run the same code.
 pub(crate) fn eval_vectorized(
     block: &SelectBlock,
-    vp: &VecPlan,
+    plan: &Arc<BlockPlan>,
+    vp: &Arc<VecPlan>,
     env: &Env,
     ctx: &mut ExecContext,
 ) -> Result<Vec<Value>> {
-    // Driver scan.
-    let t = Instant::now();
-    let (d_batches, d_rows) = scan_batches(ctx, &vp.driver, &vp.d_filters, 0, vp.needs_rows(0))?;
-    ctx.stats.rows_scanned += d_rows;
-    ctx.stats.materializations += 1;
-    ctx.stats.vec_scan_nanos += t.elapsed().as_nanos() as u64;
-
-    // Filter: per-batch selection vectors.
-    let t = Instant::now();
-    let mut sel: Vec<Id> = Vec::new();
-    for (bi, b) in d_batches.iter().enumerate() {
-        if b.is_empty() {
-            continue;
-        }
-        let mut s: Vec<u32> = (0..b.len() as u32).collect();
-        for f in &vp.d_filters {
-            if s.is_empty() {
-                break;
-            }
-            filter_pass(f, b, 0, &mut s, ctx)?;
-        }
-        sel.extend(s.into_iter().map(|r| (bi as u32, r)));
+    // `env` already holds the pre-LETs: compiled blocks have none.
+    if let Some(mut rows) = BlockStream::start(block, plan, env, ctx)? {
+        return Ok(rows.next_rows(block, ctx, usize::MAX)?.unwrap_or_default());
     }
-    ctx.stats.vec_filter_nanos += t.elapsed().as_nanos() as u64;
+
+    // Driver scan: keep only batches with survivors.
+    ctx.stats.materializations += 1;
+    let parts = ctx.snapshots_for(&vp.driver.ds)?.to_vec();
+    let mut scan = DriverScan::kernels(vp.clone(), 0, false, parts);
+    let mut d_batches: Vec<Batch> = Vec::new();
+    let mut sel: Vec<Id> = Vec::new();
+    while let Some((b, s)) = scan.next_batch(ctx)? {
+        let bi = d_batches.len() as u32;
+        sel.extend(s.into_iter().map(|r| (bi, r)));
+        d_batches.push(b);
+    }
 
     // Join. The build side is scanned only when at least one driver row
     // survived — the row path's per-row `fetch_candidates` laziness.
@@ -1547,24 +1702,16 @@ pub(crate) fn eval_vectorized(
         Some(_) if sel.is_empty() => Vec::new(),
         Some(j) => {
             let t = Instant::now();
-            let (jb, j_rows) = scan_batches(ctx, &j.side, &j.self_filter, 1, vp.needs_rows(1))?;
-            j_batches = jb;
+            let parts = ctx.snapshots_for(&j.side.ds)?.to_vec();
+            let mut build = DriverScan::kernels(vp.clone(), 1, false, parts);
+            let scanned_before = ctx.stats.rows_scanned;
 
-            // Build: vectorized self-filters, then pre-hashed keys.
+            // Build: pre-hashed keys over the kernel survivors.
             let mut map: HashMap<u64, Vec<Id>> = HashMap::new();
-            for (bi, b) in j_batches.iter().enumerate() {
-                if b.is_empty() {
-                    continue;
-                }
-                let mut s: Vec<u32> = (0..b.len() as u32).collect();
-                for f in &j.self_filter {
-                    if s.is_empty() {
-                        break;
-                    }
-                    filter_pass(f, b, 1, &mut s, ctx)?;
-                }
+            while let Some((b, s)) = build.next_batch(ctx)? {
+                let bi = j_batches.len() as u32;
                 for r in s {
-                    let rc = RowCtx::one(1, b, r as usize);
+                    let rc = RowCtx::one(1, &b, r as usize);
                     let mut svs = Vec::with_capacity(j.build_keys.len());
                     for k in &j.build_keys {
                         svs.push(eval_scalar(k, rc, ctx)?);
@@ -1578,12 +1725,12 @@ pub(crate) fn eval_vectorized(
                     for s in &svs {
                         s.vr().hash_into(&mut h);
                     }
-                    map.entry(h.finish()).or_default().push((bi as u32, r));
+                    map.entry(h.finish()).or_default().push((bi, r));
                 }
+                j_batches.push(b);
             }
-            ctx.stats.rows_scanned += j_rows;
             ctx.stats.hash_builds += 1;
-            ctx.stats.hash_build_rows += j_rows;
+            ctx.stats.hash_build_rows += ctx.stats.rows_scanned - scanned_before;
 
             // Probe, in driver-row order; candidates verified with
             // value-equality semantics (hash collisions, NaN, int/double

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use idea_adm::Value;
 use idea_query::catalog::Catalog;
-use idea_query::{Session, StatementResult};
+use idea_query::{PlanCache, Session, SessionConfig, StatementResult};
 
 fn run_sqlpp(catalog: &Arc<Catalog>, text: &str) -> idea_query::Result<Vec<StatementResult>> {
     Session::new(catalog.clone()).run_script(text)
@@ -13,9 +13,10 @@ fn run_sqlpp(catalog: &Arc<Catalog>, text: &str) -> idea_query::Result<Vec<State
 fn run_query(catalog: &Arc<Catalog>, text: &str) -> idea_query::Result<Value> {
     Session::new(catalog.clone()).query(text)
 }
+use idea_query::ast::Statement;
 use idea_query::exec::{Env, ExecContext};
 use idea_query::expr::apply_function;
-use idea_query::parser::parse_query;
+use idea_query::parser::{self, parse_query};
 use idea_query::{eval_expr, QueryError};
 
 fn tweet(id: i64, country: &str, text: &str) -> Value {
@@ -678,51 +679,156 @@ fn session_config_builder_applies_up_front() {
     assert_eq!(v.as_array().unwrap().len(), 2);
 }
 
-#[test]
-fn row_stream_matches_materialized_query() {
-    let c = setup_words(1);
-    let session = idea_query::SessionConfig::new().result_batch_size(1).build(c);
-    for q in [
-        "SELECT VALUE w.word FROM SensitiveWords w",
-        r#"SELECT VALUE w.word FROM SensitiveWords w WHERE w.country = "US""#,
-        // Not scan-streamable (ORDER BY): must fall back, same rows.
-        "SELECT VALUE w.word FROM SensitiveWords w ORDER BY w.word",
-        "SELECT w.country AS c, count(*) AS n FROM SensitiveWords w GROUP BY w.country",
-    ] {
-        let materialized = session.query(q).unwrap();
-        let streamed = session.query_stream(q).unwrap().collect_value().unwrap();
-        assert_eq!(streamed, materialized, "query: {q}");
+/// A dataset of `n` records on disk in the columnar layout, sealed into
+/// one component per partition (the shape whose pages a scan slices),
+/// plus a UDF for the row-path inputs.
+fn setup_streaming(tmp: &idea_storage::TempDir, n: i64) -> Arc<Catalog> {
+    let c = Catalog::new(2);
+    c.set_storage_root(tmp.path()).unwrap();
+    run_sqlpp(
+        &c,
+        r#"
+        CREATE TYPE T AS OPEN { id: int64 };
+        CREATE DATASET Mem(T) PRIMARY KEY id;
+        CREATE DATASET Col(T) PRIMARY KEY id
+            WITH {"storage": "disk", "fsync": "never", "layout": "columnar"};
+        CREATE FUNCTION bump(x) { x.id + 1 };
+        "#,
+    )
+    .unwrap();
+    for name in ["Mem", "Col"] {
+        let ds = c.dataset(name).unwrap();
+        for i in 0..n {
+            ds.upsert(Value::object([
+                ("id", Value::Int(i)),
+                ("grp", Value::str(["a", "b", "c"][(i % 3) as usize])),
+                ("m", Value::object([("x", Value::Int(i % 10))])),
+            ]))
+            .unwrap();
+        }
     }
+    for p in c.dataset("Col").unwrap().partitions() {
+        p.flush();
+        p.merge();
+    }
+    c
 }
 
 #[test]
-fn scan_stream_is_lazy_and_limit_stops_early() {
-    let c = setup_words(1);
-    let session = idea_query::SessionConfig::new().result_batch_size(1).build(c.clone());
-    let mut stream = session.query_stream("SELECT VALUE w.word FROM SensitiveWords w").unwrap();
-    assert!(stream.is_streaming());
-    let mut rows = 0;
-    while let Some(b) = stream.next_batch().unwrap() {
-        rows += b.len();
-    }
-    assert_eq!(rows, 3);
-    // Never more than one output batch resident at a time.
-    assert!(stream.peak_resident() <= 1, "peak {}", stream.peak_resident());
+fn streamed_results_match_query_and_row_oracle() {
+    const BATCH: usize = 16;
+    let tmp = idea_storage::TempDir::new("engine-streaming");
+    let c = setup_streaming(&tmp, 3_000);
+    let session = SessionConfig::new().result_batch_size(BATCH).param("g", Value::str("b"));
+    let session = session.build(c.clone());
+    let oracle = SessionConfig::new().param("g", Value::str("b")).vectorize(false).build(c);
 
-    let mut limited = session
-        .query_stream("SELECT VALUE w.word FROM SensitiveWords w LIMIT 2")
-        .unwrap();
-    let mut rows = 0;
-    while let Some(b) = limited.next_batch().unwrap() {
-        rows += b.len();
+    // (query, whether it streams off the driver scan)
+    let cases = [
+        ("SELECT VALUE t.id FROM Mem t WHERE t.id >= 2500", true), // kernel
+        ("SELECT VALUE t.id FROM Mem t WHERE t.grp = $g", true),
+        ("LET lo = 2990 SELECT VALUE t.id FROM Mem t WHERE t.id > lo", true),
+        ("SELECT VALUE s FROM Mem t LET s = t.id * 2 WHERE s < 90", true),
+        ("SELECT VALUE bump(t) FROM Mem t WHERE t.id < 40", true),
+        ("SELECT VALUE t.id FROM Mem t WHERE bump(t) > 2960", true),
+        ("SELECT VALUE t.id FROM Mem t WHERE t.m.x = 3", true),
+        ("SELECT VALUE t FROM Mem t WHERE t.id > 100 LIMIT 37", true),
+        ("SELECT VALUE t.id FROM Col t WHERE t.id >= 2950", true),
+        ("SELECT t.id AS i, t.grp AS g FROM Col t WHERE t.grp = $g LIMIT 50", true),
+        // Not streamable: materialized and re-chunked, same rows.
+        ("SELECT VALUE t.id FROM Mem t WHERE t.id < 50 ORDER BY t.id DESC", false),
+        ("SELECT t.grp AS g, count(*) AS n FROM Mem t GROUP BY t.grp", false),
+    ];
+    for (q, streams) in cases {
+        let want = oracle.query(q).unwrap();
+        assert_eq!(session.query(q).unwrap(), want, "Session::query: {q}");
+        let mut stream = session.query_stream(q).unwrap();
+        assert_eq!(stream.is_streaming(), streams, "{q}");
+        let mut rows = Vec::new();
+        while let Some(mut b) = stream.next_batch().unwrap() {
+            assert!(!b.is_empty() && b.len() <= BATCH, "{q}: batch of {}", b.len());
+            rows.append(&mut b);
+        }
+        assert_eq!(Value::Array(rows), want, "query_stream: {q}");
+        if streams {
+            assert!(stream.peak_resident() <= BATCH, "{q}: peak {}", stream.peak_resident());
+        }
     }
-    assert_eq!(rows, 2);
 
-    // Row-at-a-time iteration sees the same rows.
-    let collected: Vec<_> = session
-        .query_stream("SELECT VALUE w.word FROM SensitiveWords w")
+    // The columnar input skips pages by footer stats on the same code
+    // path the stream takes.
+    session.query("SELECT VALUE t.id FROM Col t WHERE t.id >= 2950").unwrap();
+    let s = session.last_stats();
+    assert!(s.columnar_pages_skipped > 0, "no page skipped: {s:?}");
+
+    // LIMIT stops the scan early; row-at-a-time iteration sees the same
+    // rows as batches.
+    let limited: Vec<Value> = session
+        .query_stream("SELECT VALUE t.id FROM Mem t LIMIT 3")
         .unwrap()
         .map(Result::unwrap)
         .collect();
-    assert_eq!(collected.len(), 3);
+    assert_eq!(limited.len(), 3);
+}
+
+#[test]
+fn plan_cache_stays_bounded_across_distinct_query_texts() {
+    let c = setup_words(1);
+    let cache = PlanCache::new();
+    let session = SessionConfig::new().shared_plan_cache(cache.clone()).build(c);
+    let words = [None, Some("bomb"), Some("attack"), Some("bombe")];
+    for i in 0..5_000i64 {
+        let wid = i % 4;
+        let q = format!(
+            "SELECT VALUE w.word FROM SensitiveWords w WHERE w.wid = {wid} AND w.wid < {}",
+            i + 10
+        );
+        let want: Vec<Value> = words[wid as usize].map(Value::str).into_iter().collect();
+        assert_eq!(session.query(&q).unwrap(), Value::Array(want), "{q}");
+        assert!(cache.len() <= PlanCache::CAPACITY, "{} plans cached", cache.len());
+    }
+}
+
+/// Parses `text` on a thread with the serve connection threads'
+/// 512 KB stack.
+fn parse_on_small_stack(text: String) -> idea_query::Result<Vec<Statement>> {
+    std::thread::Builder::new()
+        .stack_size(512 * 1024)
+        .spawn(move || parser::parse_statements(&text))
+        .unwrap()
+        .join()
+        .expect("parser thread must not overflow its stack")
+}
+
+#[test]
+fn deep_nesting_is_a_syntax_error_not_a_stack_overflow() {
+    let n = 100_000;
+    let deep = [
+        format!("SELECT VALUE {}1{};", "(".repeat(n), ")".repeat(n)),
+        format!("{}1{};", "SELECT VALUE (".repeat(n), ")".repeat(n)),
+        format!(
+            "SELECT VALUE 1 FROM {}[1]{} x;",
+            "(SELECT VALUE y FROM ".repeat(n),
+            " y)".repeat(n)
+        ),
+        format!("SELECT VALUE {}1;", "NOT ".repeat(n)),
+        format!("SELECT VALUE {}1;", "- ".repeat(n)),
+        format!("SELECT VALUE {}1{};", "CASE WHEN ".repeat(n), " THEN 1 END".repeat(n)),
+        format!("CREATE FEED f WITH {}\"v\": 1{};", "{\"k\": ".repeat(n), "}".repeat(n)),
+    ];
+    for text in deep {
+        let got = parse_on_small_stack(text);
+        assert!(matches!(got, Err(QueryError::Syntax(_))), "got {got:?}");
+    }
+    // Nesting just inside the limit still parses on the same stack.
+    let k = parser::MAX_NESTING - 2;
+    for text in [
+        format!("SELECT VALUE {}1{};", "(".repeat(k), ")".repeat(k)),
+        format!("SELECT VALUE {}1{};", "f(".repeat(k), ")".repeat(k)),
+        format!("SELECT VALUE {}1{};", "CASE WHEN ".repeat(k), " THEN 1 END".repeat(k)),
+        format!("{}1{};", "SELECT VALUE (".repeat(k / 2), ")".repeat(k / 2)),
+    ] {
+        let got = parse_on_small_stack(text);
+        assert!(got.is_ok(), "got {got:?}");
+    }
 }

@@ -14,8 +14,10 @@
 //! - **Workers** each own one [`Session`] built against the engine's
 //!   catalog with a *shared* plan cache — the worker pool is the
 //!   session pool. Query results stream straight from
-//!   [`Session::stream_statement`] to the socket one batch at a time;
-//!   the server never materializes a streamable result.
+//!   [`Session::stream_statement`] to the socket one batch at a time:
+//!   from a parallel merge stage, from the block's driver scan
+//!   (vectorized kernels when the block compiled), or — for sorts,
+//!   groups and joins — from a materialized result re-chunked.
 //!
 //! The parsed-statement cache is what makes the shared plan cache
 //! effective: parsing mints fresh block ids, so only a reused AST can
@@ -254,6 +256,11 @@ fn acceptor_loop(shared: Arc<Shared>, listener: TcpListener, jobs: Sender<Job>) 
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        // A response is a run of small frames: a result computed in one
+        // go writes its last `Rows` and the `Done` back to back, and
+        // Nagle's algorithm would hold `Done` until the client's delayed
+        // ACK (~40 ms) arrived.
+        let _ = stream.set_nodelay(true);
         shared.metrics.counter(names::SERVE_CONNECTIONS_TOTAL).inc();
         shared.metrics.gauge(names::SERVE_CONNECTIONS).inc();
         let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);

@@ -220,3 +220,35 @@ fn shutdown_drains_in_flight_queries_then_refuses_new_ones() {
         "server accepted a connection after shutdown"
     );
 }
+
+#[test]
+fn deeply_nested_query_gets_an_error_frame_and_the_server_keeps_answering() {
+    let (engine, server) = serve_tweets(10, ServerConfig::default());
+    let mut client = Client::connect(server.local_addr(), "deep").unwrap();
+    let n = 100_000;
+    for q in [
+        format!("SELECT VALUE {}1{};", "(".repeat(n), ")".repeat(n)),
+        format!("{}1{};", "SELECT VALUE (".repeat(n), ")".repeat(n)),
+    ] {
+        let err = client.query(&q).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::Syntax, "{err}");
+    }
+    // Same connection, and a fresh one, still get answers.
+    assert_eq!(client.query("SELECT VALUE t.id FROM Tweets t").unwrap().len(), 10);
+    let mut other = Client::connect(server.local_addr(), "after").unwrap();
+    assert_eq!(other.query("SELECT VALUE t.id FROM Tweets t").unwrap().len(), 10);
+    assert!(engine.metrics().snapshot().counter("serve/errors").unwrap_or(0) >= 2);
+    server.shutdown();
+}
+
+#[test]
+fn served_filter_scan_runs_the_vectorized_driver_scan() {
+    let (engine, server) = serve_tweets(300, ServerConfig::default());
+    let mut client = Client::connect(server.local_addr(), "vec").unwrap();
+    let built = || engine.metrics().snapshot().counter("query/batch/built").unwrap_or(0);
+    let before = built();
+    let rows = client.query("SELECT VALUE t.id FROM Tweets t WHERE t.id >= 290").unwrap();
+    assert_eq!(rows.len(), 10);
+    assert!(built() > before, "a served filter scan built no batches");
+    server.shutdown();
+}

@@ -504,23 +504,6 @@ impl DatasetSnapshot {
         self.snap.iter()
     }
 
-    /// Iterates live records in primary-key order, `batch_rows` at a
-    /// time — the batch-granularity scan surface for vectorized
-    /// executors. The final chunk may be short; chunks are never empty.
-    /// Records stay `Arc`-shared; only the chunk `Vec`s are allocated.
-    pub fn iter_batches(&self, batch_rows: usize) -> impl Iterator<Item = Vec<Arc<Value>>> + '_ {
-        let batch_rows = batch_rows.max(1);
-        let mut it = self.iter();
-        std::iter::from_fn(move || {
-            let chunk: Vec<Arc<Value>> = it.by_ref().take(batch_rows).collect();
-            if chunk.is_empty() {
-                None
-            } else {
-                Some(chunk)
-            }
-        })
-    }
-
     /// Point lookup within the snapshot. An I/O or checksum failure on
     /// a disk component surfaces as an error instead of a false
     /// "absent".

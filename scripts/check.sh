@@ -32,6 +32,9 @@ run cargo test --offline -q -p idea-query --test columnar_scan
 run cargo test --offline -q --test pipeline_spec
 run cargo test --offline -q --test connector_resume
 run cargo run --offline --release --example pipeline_spec
+# End-to-end benchmark self-test: each e2e_bench workload runs in
+# miniature and every served query is checked against its oracle.
+run cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo fmt --check
 # Public-API docs must build clean: broken intra-doc links or missing
