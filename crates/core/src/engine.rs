@@ -67,7 +67,7 @@ impl IngestionEngine {
             sched
         });
         let afm = ActiveFeedManager::new(cluster.clone(), catalog.clone());
-        let session = Session::with_cluster(catalog.clone(), cluster.clone());
+        let session = SessionConfig::new().build_on(catalog.clone(), afm.metrics().clone());
         Arc::new(IngestionEngine {
             cluster,
             catalog,
@@ -109,14 +109,14 @@ impl IngestionEngine {
         &self.afm
     }
 
-    /// Builds a new SQL++ session over the engine's catalog and cluster
-    /// from an explicit [`SessionConfig`] (execution mode, parameter
-    /// defaults, tenant id, result batch size). Sessions are
+    /// Builds a new SQL++ session over the engine's catalog, reporting to
+    /// the engine's metrics registry, from an explicit [`SessionConfig`]
+    /// (parameter defaults, tenant id, result batch size). Sessions are
     /// independent; all of them see the same data and share compiled
     /// plans when given a [shared plan
     /// cache](SessionConfig::shared_plan_cache).
     pub fn new_session(&self, config: SessionConfig) -> Session {
-        config.build_on(self.catalog.clone(), self.cluster.clone())
+        config.build_on(self.catalog.clone(), self.metrics().clone())
     }
 
     /// The engine-wide metrics registry: per-feed pipeline counters,

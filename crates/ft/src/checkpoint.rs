@@ -60,12 +60,12 @@ pub struct CheckpointStore {
     save_errors: AtomicU64,
 }
 
-/// Reads a persisted checkpoint file. Missing, truncated, corrupt, or
-/// partition-count-mismatched files all yield `None` — a restart then
-/// begins at offset zero, which at-least-once delivery tolerates.
-/// Understands both layouts: v1 (`8 + 8n` payload, record counts only —
-/// positions default to the counts) and v2 (`8 + 16n`, count + position
-/// pairs).
+/// Reads a persisted checkpoint file: an `8 + 16n` byte payload of
+/// magic, partition count and `n` (records, position) pairs, then its
+/// CRC. Missing, truncated, corrupt, or partition-count-mismatched
+/// files — and files in any other layout, such as the count-only `8 + 8n`
+/// one older versions wrote — all yield `None`: a restart then begins at
+/// offset zero, which at-least-once delivery tolerates.
 fn load_checkpoint_file(path: &Path, partitions: usize) -> Option<Vec<PartitionOffset>> {
     let bytes = std::fs::read(path).ok()?;
     if bytes.len() < 12 {
@@ -83,30 +83,18 @@ fn load_checkpoint_file(path: &Path, partitions: usize) -> Option<Vec<PartitionO
     }
     let u64_at =
         |data: &[u8], i: usize| u64::from_le_bytes(data[8 * i..8 * i + 8].try_into().unwrap());
-    let body = &payload[8..];
-    if payload.len() == 8 + 16 * n {
-        Some(
-            (0..n)
-                .map(|i| PartitionOffset {
-                    records: u64_at(body, 2 * i),
-                    position: u64_at(body, 2 * i + 1),
-                })
-                .collect(),
-        )
-    } else if payload.len() == 8 + 8 * n {
-        // Legacy count-only file: the shimmed adapters' position IS the
-        // record count.
-        Some(
-            (0..n)
-                .map(|i| {
-                    let records = u64_at(body, i);
-                    PartitionOffset { records, position: records }
-                })
-                .collect(),
-        )
-    } else {
-        None
+    if payload.len() != 8 + 16 * n {
+        return None;
     }
+    let body = &payload[8..];
+    Some(
+        (0..n)
+            .map(|i| PartitionOffset {
+                records: u64_at(body, 2 * i),
+                position: u64_at(body, 2 * i + 1),
+            })
+            .collect(),
+    )
 }
 
 impl CheckpointStore {
@@ -442,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn persistent_positions_survive_restart_and_v1_files_still_load() {
+    fn persistent_positions_survive_restart_and_v1_files_load_as_none() {
         let tmp = idea_storage::TempDir::new("ckpt-pos");
         let path = tmp.path().join("feed.ckpt");
         {
@@ -462,7 +450,8 @@ mod tests {
             ]
         );
 
-        // Hand-craft a v1 (count-only) file: positions default to counts.
+        // Hand-craft a v1 (count-only) file: it no longer loads, so the
+        // restart begins at offset zero.
         let mut payload = Vec::new();
         payload.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
         payload.extend_from_slice(&2u32.to_le_bytes());
@@ -471,14 +460,9 @@ mod tests {
         let crc = crc32(&payload);
         payload.extend_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &payload).unwrap();
+        assert_eq!(load_checkpoint_file(&path, 2), None);
         let s = CheckpointStore::persistent(2, &path);
-        assert_eq!(
-            s.committed_offsets(),
-            vec![
-                PartitionOffset { records: 7, position: 7 },
-                PartitionOffset { records: 9, position: 9 }
-            ]
-        );
+        assert_eq!(s.committed_offsets(), vec![PartitionOffset::default(); 2]);
     }
 
     #[test]

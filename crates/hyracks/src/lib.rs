@@ -1,11 +1,13 @@
 //! # idea-hyracks — a partitioned parallel dataflow runtime
 //!
 //! Hyracks is "a partitioned parallel computation platform that provides
-//! runtime execution support for AsterixDB" (paper §2.2). Queries become
+//! runtime execution support for AsterixDB" (paper §2.2). Work becomes
 //! *jobs*: DAGs of **operators** (computation) and **connectors** (data
 //! routing). Data flows in **frames** containing multiple records.
 //!
-//! This crate reproduces the pieces the ingestion framework needs:
+//! This crate reproduces the pieces the ingestion framework needs (its
+//! intake, computing and storage jobs; SQL++ queries run in-process on
+//! `idea-query`'s vectorized executor instead):
 //!
 //! * [`frame::Frame`] — a batch of ADM records in flight;
 //! * [`operator::Operator`] — push-based operators
@@ -30,7 +32,6 @@
 //!   round of thread spawns.
 
 pub mod cluster;
-pub mod collector;
 pub mod connector;
 pub mod error;
 pub mod executor;
@@ -42,7 +43,6 @@ pub mod pool;
 pub mod predeploy;
 
 pub use cluster::{Cluster, ClusterConfig};
-pub use collector::{CollectorOp, ResultChannel, ResultMsg};
 pub use connector::ConnectorSpec;
 pub use error::HyracksError;
 pub use executor::{run_job, JobHandle};

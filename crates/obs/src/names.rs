@@ -4,21 +4,6 @@
 //! must agree on its name; the query-execution names live here so the
 //! query runtime, benchmarks, and tests reference one definition.
 
-/// Parallel query invocations that ran on the Hyracks runtime.
-pub const QUERY_PARALLEL_INVOCATIONS: &str = "query/parallel/invocations";
-/// Parallel-eligible queries that fell back to the sequential evaluator
-/// (runtime error, e.g. a node down at invocation time).
-pub const QUERY_PARALLEL_FALLBACKS: &str = "query/parallel/fallbacks";
-/// Job specs compiled and predeployed by the parallel query runtime.
-pub const QUERY_PARALLEL_DEPLOYS: &str = "query/parallel/deploys";
-/// End-to-end latency of successful parallel query invocations.
-pub const QUERY_PARALLEL_LATENCY: &str = "query/parallel/latency";
-/// Records scanned by parallel scan tasks (across all partitions).
-pub const QUERY_SCAN_ROWS: &str = "query/scan/rows";
-/// Rows emitted into exchange connectors (scan → group shuffles).
-pub const QUERY_EXCHANGE_ROWS: &str = "query/exchange/rows";
-/// Rows received by the final merge stage.
-pub const QUERY_MERGE_ROWS: &str = "query/merge/rows";
 /// Columnar batches built by vectorized scans.
 pub const QUERY_BATCHES_BUILT: &str = "query/batch/built";
 /// Rows-per-batch distribution of vectorized scans (histogram; the

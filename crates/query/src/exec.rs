@@ -197,6 +197,55 @@ pub struct ExecStats {
     pub vec_merge_nanos: u64,
 }
 
+impl ExecStats {
+    /// Adds every counter of `o` into `self` (a fanned-out scan's
+    /// workers report into their caller this way).
+    pub(crate) fn add(&mut self, o: &ExecStats) {
+        let ExecStats {
+            hash_builds,
+            hash_build_rows,
+            hash_probes,
+            materializations,
+            index_probes,
+            rows_scanned,
+            blocks_evaluated,
+            udf_calls,
+            native_inits,
+            subquery_cache_hits,
+            batches_built,
+            batch_rows,
+            columnar_pages_scanned,
+            columnar_pages_skipped,
+            vec_fallbacks,
+            vec_scan_nanos,
+            vec_filter_nanos,
+            vec_join_nanos,
+            vec_agg_nanos,
+            vec_merge_nanos,
+        } = o;
+        self.hash_builds += hash_builds;
+        self.hash_build_rows += hash_build_rows;
+        self.hash_probes += hash_probes;
+        self.materializations += materializations;
+        self.index_probes += index_probes;
+        self.rows_scanned += rows_scanned;
+        self.blocks_evaluated += blocks_evaluated;
+        self.udf_calls += udf_calls;
+        self.native_inits += native_inits;
+        self.subquery_cache_hits += subquery_cache_hits;
+        self.batches_built += batches_built;
+        self.batch_rows += batch_rows;
+        self.columnar_pages_scanned += columnar_pages_scanned;
+        self.columnar_pages_skipped += columnar_pages_skipped;
+        self.vec_fallbacks += vec_fallbacks;
+        self.vec_scan_nanos += vec_scan_nanos;
+        self.vec_filter_nanos += vec_filter_nanos;
+        self.vec_join_nanos += vec_join_nanos;
+        self.vec_agg_nanos += vec_agg_nanos;
+        self.vec_merge_nanos += vec_merge_nanos;
+    }
+}
+
 /// Build-side state cached per (block, from-item).
 pub enum BuildState {
     /// Materialized (filtered) reference rows.
@@ -236,6 +285,11 @@ pub struct ExecContext {
     pub vectorize: bool,
     /// Registry for `query/batch/*` instruments, when attached.
     pub(crate) metrics: Option<Arc<idea_obs::MetricsRegistry>>,
+    /// Set by a session for a top-level query: the next block evaluated
+    /// may fan its driver scan out over the dataset's partitions.
+    /// [`eval_block`] clears it on entry, so nested blocks, UDF bodies
+    /// and everything else evaluated afterwards stay on one thread.
+    pub(crate) fan_out: bool,
 }
 
 /// UDF recursion limit.
@@ -261,7 +315,19 @@ impl ExecContext {
             depth: 0,
             vectorize: true,
             metrics: None,
+            fan_out: false,
         }
+    }
+
+    /// A context for one worker of a fanned-out scan: the same catalog,
+    /// plan cache, parameters, vectorize flag and metrics registry, with
+    /// fresh counters and no pinned state of its own.
+    pub(crate) fn fork(&self) -> ExecContext {
+        let mut ctx = ExecContext::with_plan_cache(self.catalog.clone(), self.plan_cache.clone());
+        ctx.params = self.params.clone();
+        ctx.vectorize = self.vectorize;
+        ctx.metrics = self.metrics.clone();
+        ctx
     }
 
     /// Attaches a metrics registry; vectorized scans record
@@ -361,6 +427,7 @@ impl ExecContext {
 
 /// Evaluates a select block to its result rows.
 pub fn eval_block(block: &SelectBlock, env: &Env, ctx: &mut ExecContext) -> Result<Vec<Value>> {
+    let fan_out = std::mem::take(&mut ctx.fan_out);
     ctx.stats.blocks_evaluated += 1;
     let plan = ctx.plan_for(block)?;
 
@@ -371,13 +438,13 @@ pub fn eval_block(block: &SelectBlock, env: &Env, ctx: &mut ExecContext) -> Resu
     // the differential oracle.
     if ctx.vectorize {
         if let Some(vp) = &plan.vec {
-            return crate::vector::eval_vectorized(block, &plan, vp, env, ctx);
+            return crate::vector::eval_vectorized(block, &plan, vp, env, fan_out, ctx);
         }
         ctx.note_vec_fallback(&plan);
     }
 
     // FROM: join loop in planned order.
-    let rows = join_from(block, &plan, 0, vec![env.clone()], ctx)?;
+    let rows = join_from(block, &plan, vec![env.clone()], ctx)?;
 
     // LET bindings, then post-LET filters.
     let mut bound = apply_lets_and_post_filters(block, &plan, rows, ctx)?;
@@ -415,18 +482,15 @@ pub(crate) fn bind_pre_lets(block: &SelectBlock, env: &Env, ctx: &mut ExecContex
     Ok(env)
 }
 
-/// Runs the FROM join loop for plan items `from_order[start..]` over the
-/// given partial rows. `start > 0` lets a parallel scan task handle its
-/// driver item itself (a per-partition snapshot scan) and complete the
-/// remaining joins with the shared code path.
-pub(crate) fn join_from(
+/// Runs the FROM join loop over the plan's items in order, starting
+/// from the given partial rows.
+fn join_from(
     block: &SelectBlock,
     plan: &BlockPlan,
-    start: usize,
     mut rows: Vec<Env>,
     ctx: &mut ExecContext,
 ) -> Result<Vec<Env>> {
-    for fp in &plan.from_order[start..] {
+    for fp in &plan.from_order {
         let item = &block.from[fp.item_idx];
         let mut next = Vec::new();
         for renv in &rows {
@@ -717,15 +781,13 @@ fn hash_build(
 
 /// One group during grouped evaluation: the group environment (first
 /// row's bindings extended with explicit group aliases) and its rows.
-pub(crate) struct Group {
-    pub(crate) genv: Env,
-    pub(crate) rows: Vec<Env>,
+struct Group {
+    genv: Env,
+    rows: Vec<Env>,
 }
 
-/// Partitions rows into groups and applies HAVING. Shared by the
-/// sequential grouped path and the parallel group stage (where each
-/// hash-exchange partition owns a disjoint subset of the keys).
-pub(crate) fn build_groups(
+/// Partitions rows into groups and applies HAVING.
+fn build_groups(
     block: &SelectBlock,
     outer_env: &Env,
     rows: Vec<Env>,
@@ -779,29 +841,6 @@ pub(crate) fn build_groups(
         groups = kept;
     }
     Ok(groups)
-}
-
-/// Partial grouped evaluation for a parallel group-stage task: groups
-/// its share of the rows, applies HAVING, and returns each surviving
-/// group's ORDER-BY keys plus projected value — sorting, LIMIT, and
-/// DISTINCT are left to the merge stage, which sees all groups.
-pub(crate) fn eval_groups_keyed(
-    block: &SelectBlock,
-    outer_env: &Env,
-    rows: Vec<Env>,
-    ctx: &mut ExecContext,
-) -> Result<Vec<(Vec<Value>, Value)>> {
-    let groups = build_groups(block, outer_env, rows, ctx)?;
-    let mut out = Vec::with_capacity(groups.len());
-    for g in groups {
-        let mut keys = Vec::with_capacity(block.order_by.len());
-        for (e, _) in &block.order_by {
-            keys.push(eval_with_aggregates(e, &g.rows, &g.genv, ctx)?);
-        }
-        let v = project(block, &g.genv, ctx, Some(&g.rows))?;
-        out.push((keys, v));
-    }
-    Ok(out)
 }
 
 /// Grouped evaluation (GROUP BY, or implicit group-all for aggregates).

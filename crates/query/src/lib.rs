@@ -14,18 +14,18 @@
 //! * [`exec`] — evaluation with an explicit [`exec::ExecContext`] whose
 //!   lifetime *is* the computing model: per record (Model 1), per batch
 //!   (Model 2), or per feed (Model 3);
+//! * [`vector`] — the one query executor: a block compiles to a
+//!   batch-at-a-time plan whose driver scan (`vector::DriverScan`) runs
+//!   compiled filter kernels over columnar batches; a top-level query
+//!   fans that scan out over the dataset's partitions on scoped threads;
 //! * [`session::Session`] — the unified entry point: statement
 //!   execution (`CREATE TYPE/DATASET/INDEX/FUNCTION`, `DROP
 //!   DATASET/INDEX`, `INSERT`/`UPSERT`/`DELETE`, queries) with a shared
-//!   plan cache, prepared-statement parameters, and an execution-mode
-//!   knob — built up front via [`session::SessionConfig`];
+//!   plan cache and prepared-statement parameters — built up front via
+//!   [`session::SessionConfig`];
 //! * [`stream::RowStream`] — the streaming result surface: pull-based
-//!   batches from a live parallel merge, from the block's driver scan
-//!   (the one scan-and-filter loop every executor shares, see
-//!   [`vector`]), or from a re-chunked materialized fallback;
-//! * [`parallel`] — compiles eligible query blocks into partitioned
-//!   `idea-hyracks` jobs (per-partition scans, hash exchanges for GROUP
-//!   BY, a merge stage), predeployed on the cluster's task pools.
+//!   batches from the block's driver scan, or from a re-chunked
+//!   materialized result.
 //!
 //! ```
 //! use idea_query::{Catalog, Session};
@@ -48,7 +48,6 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod lexer;
-pub mod parallel;
 pub mod parser;
 pub mod plan;
 pub mod session;
@@ -60,8 +59,7 @@ pub use catalog::Catalog;
 pub use error::QueryError;
 pub use exec::{Env, ExecContext, ExecStats, PlanCache};
 pub use expr::{apply_function, eval_expr};
-pub use parallel::{ParallelRuntime, ParallelShape};
-pub use session::{ExecMode, Session, SessionConfig, StatementResult};
+pub use session::{Session, SessionConfig, StatementResult};
 pub use stream::RowStream;
 pub use udf::{FunctionDef, NativeUdf, NativeUdfFactory};
 

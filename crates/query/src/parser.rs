@@ -20,6 +20,12 @@ const RESERVED: &[&str] = &[
 /// parser accepts. Recursive descent spends stack per level, and the
 /// server parses on 512 KB connection threads: past this depth a
 /// statement is a syntax error, never a stack overflow.
+///
+/// Operator and suffix chains (`1 + 1 + … + 1`, `a.b.c`, `a[0][1]`)
+/// count too, one level per link: they parse in a loop, but build an
+/// equally deep left-leaning tree that evaluation and drop walk
+/// recursively. So no expression tree the parser returns is deeper than
+/// this.
 pub const MAX_NESTING: usize = 48;
 
 /// Binary operator precedence levels, loosest first.
@@ -89,18 +95,38 @@ struct Parser {
     /// Current nesting depth (see [`MAX_NESTING`]); every recursive
     /// rule calls [`Parser::enter`] and decrements it on return.
     depth: usize,
+    /// Deepest level the operand being parsed reaches: its recursion
+    /// depth plus the chain links stacked on it (see [`Parser::link`]).
+    /// [`Parser::parse_binary`] measures each operand from its own
+    /// `depth`, so sibling operands do not add up.
+    peak: usize,
+}
+
+fn too_deep() -> QueryError {
+    QueryError::Syntax(format!("nesting deeper than {MAX_NESTING} levels"))
 }
 
 impl Parser {
     fn new(input: &str) -> Result<Self> {
-        Ok(Parser { toks: lex(input)?, pos: 0, depth: 0 })
+        Ok(Parser { toks: lex(input)?, pos: 0, depth: 0, peak: 0 })
     }
 
     fn enter(&mut self) -> Result<()> {
         if self.depth >= MAX_NESTING {
-            return Err(QueryError::Syntax(format!("nesting deeper than {MAX_NESTING} levels")));
+            return Err(too_deep());
         }
         self.depth += 1;
+        self.peak = self.peak.max(self.depth);
+        Ok(())
+    }
+
+    /// Counts one chain link: an operator or suffix node stacked on top
+    /// of everything the current operand has parsed so far.
+    fn link(&mut self) -> Result<()> {
+        if self.peak >= MAX_NESTING {
+            return Err(too_deep());
+        }
+        self.peak += 1;
         Ok(())
     }
 
@@ -532,6 +558,7 @@ impl Parser {
     /// and a `NOT` prefix (which binds looser than comparisons), can only
     /// be followed by `AND`/`OR`.
     fn parse_binary(&mut self, min: u8) -> Result<Expr> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
         let (mut lhs, mut max) = if min <= CMP && self.eat_kw("not") {
             self.enter()?;
             let e = self.parse_binary(CMP);
@@ -549,6 +576,7 @@ impl Parser {
                 self.bump();
             }
             let rhs = Box::new(self.parse_binary(level + 1)?);
+            self.link()?;
             let lhs_box = Box::new(lhs);
             lhs = match op {
                 Op::In => Expr::In(lhs_box, rhs),
@@ -559,6 +587,7 @@ impl Parser {
                 max = AND;
             }
         }
+        self.peak = self.peak.max(outer);
         Ok(lhs)
     }
 
@@ -587,10 +616,12 @@ impl Parser {
         loop {
             if self.eat(&Token::Dot) {
                 let field = self.expect_ident()?;
+                self.link()?;
                 e = Expr::Field(Box::new(e), field);
             } else if self.eat(&Token::LBracket) {
                 let idx = self.parse_expr()?;
                 self.expect(&Token::RBracket)?;
+                self.link()?;
                 e = Expr::Index(Box::new(e), Box::new(idx));
             } else {
                 return Ok(e);

@@ -5,21 +5,16 @@
 //! call, fatal for a server that must fan results out to thousands of
 //! sockets. [`Session::query_stream`](crate::Session::query_stream)
 //! returns a [`RowStream`] instead: a pull-based iterator over result
-//! *batches*. A session tries three sources, in order:
+//! *batches*, fed by one of two sources:
 //!
-//! * **Parallel** — on a parallel session, a block whose merge stage
-//!   needs no cross-batch state runs as a partitioned Hyracks job whose
-//!   merge collector forwards frames through the
-//!   [`ResultChannel`](idea_hyracks::ResultChannel) as they arrive (see
-//!   [`crate::parallel`]);
 //! * **Driver scan** — a single-dataset block with no ORDER BY, GROUP
 //!   BY, aggregates or DISTINCT pulls its dataset through the one
-//!   driver scan (`vector::DriverScan`) a chunk at a time —
-//!   compiled kernels and columnar page skipping when the block
-//!   vectorized, the row-path filters otherwise — and projects at most
-//!   one output batch at a time (`BlockStream`). The in-process
-//!   vectorized evaluator collects the same stream, so a served query
-//!   and `Session::query` run the same code;
+//!   driver scan (`vector::DriverScan`) a chunk at a time on the
+//!   caller's thread — compiled kernels and columnar page skipping
+//!   when the block vectorized, the row-path filters otherwise — and
+//!   projects at most one output batch at a time (`BlockStream`). The
+//!   in-process evaluator runs the same scan and projection, fanned out
+//!   over the dataset's partitions;
 //! * **Materialized** — everything else (sorts, groups, joins) runs the
 //!   materializing evaluator and re-chunks the finished result, so the
 //!   API is total even when laziness is impossible.
@@ -36,7 +31,6 @@ use idea_adm::Value;
 
 use crate::ast::{FromSource, SelectBlock};
 use crate::exec::{bind_pre_lets, eval_limit, Env, ExecContext};
-use crate::parallel::ParallelStream;
 use crate::plan::{AccessPath, BlockPlan};
 use crate::vector::{Chunk, DriverScan};
 use crate::Result;
@@ -140,8 +134,6 @@ enum Source {
     Materialized(VecDeque<Value>),
     /// A block streamed off its driver scan.
     Driver(Box<DriverSource>),
-    /// Live parallel invocation fed by the merge collector.
-    Parallel(ParallelStream),
 }
 
 /// A pull-based stream of query result rows, consumed in batches.
@@ -164,7 +156,6 @@ impl std::fmt::Debug for RowStream {
         let source = match &self.source {
             Source::Materialized(_) => "materialized",
             Source::Driver(_) => "driver scan",
-            Source::Parallel(_) => "parallel",
         };
         f.debug_struct("RowStream")
             .field("source", &source)
@@ -202,12 +193,8 @@ impl RowStream {
         RowStream::new(Source::Driver(Box::new(source)), batch_size, 0)
     }
 
-    pub(crate) fn parallel(stream: ParallelStream, batch_size: usize) -> RowStream {
-        RowStream::new(Source::Parallel(stream), batch_size, 0)
-    }
-
-    /// Whether this stream evaluates lazily (driver-scan or parallel
-    /// source) as opposed to re-chunking a materialized result.
+    /// Whether this stream evaluates lazily (driver-scan source) as
+    /// opposed to re-chunking a materialized result.
     pub fn is_streaming(&self) -> bool {
         !matches!(self.source, Source::Materialized(_))
     }
@@ -228,7 +215,6 @@ impl RowStream {
                 (n > 0).then(|| rows.drain(..n).collect())
             }
             Source::Driver(d) => d.rows.next_rows(&d.block, &mut d.ctx, self.batch_size)?,
-            Source::Parallel(p) => p.next_batch()?,
         };
         if let (Some(b), true) = (&batch, self.is_streaming()) {
             self.peak_resident = self.peak_resident.max(b.len());

@@ -10,7 +10,10 @@
 //!
 //! Every dataset scan here — driver and hash-build sides alike — runs
 //! through `DriverScan`, the one scan-and-filter loop outside the row
-//! oracle; parallel scan tasks and streamed results drive it too.
+//! oracle; streamed results drive it too. A session's top-level query
+//! fans its driver scan out over the dataset's partitions on scoped
+//! threads (`scan_driver`), so this is the one query executor: there is
+//! no separate parallel path.
 //!
 //! The row-at-a-time interpreter in [`crate::exec`] stays the
 //! differential oracle: every observable behavior here (result
@@ -32,7 +35,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use idea_adm::functions::numeric::{arith, ArithOp};
@@ -183,14 +186,6 @@ pub struct VecPlan {
 }
 
 impl VecPlan {
-    /// Whether the plan has a hash-join side. A parallel scan task that
-    /// used the vectorized driver scan must still run the row-at-a-time
-    /// join and post-filter pipeline when this is true; when false the
-    /// driver filters already include the post filters.
-    pub(crate) fn has_join(&self) -> bool {
-        self.join.is_some()
-    }
-
     /// Side `side`'s scan spec and the kernels that filter it: the
     /// driver (0) or the hash-join build side (1).
     fn side(&self, side: usize) -> (&SideSpec, &[VecExpr]) {
@@ -1064,25 +1059,14 @@ impl Chunk {
             Chunk::Rows(rows) => rows.len(),
         }
     }
-
-    /// The survivors as row environments: each record bound to `alias`
-    /// over `env`. Kernel batches must carry their records.
-    pub(crate) fn into_envs(self, env: &Env, alias: &str) -> Vec<Env> {
-        match self {
-            Chunk::Batch(b, sel) => {
-                sel.into_iter().map(|r| env.bind(alias, b.rows[r as usize].clone())).collect()
-            }
-            Chunk::Rows(rows) => rows,
-        }
-    }
 }
 
 /// The one driver scan: pulls a dataset's pinned partition snapshots a
 /// chunk at a time — one columnar page or `BATCH_ROWS` records — and
 /// applies a block's driver filters, so no caller holds more than one
-/// unfiltered chunk. The vectorized evaluator (driver and build sides),
-/// parallel scan tasks (one partition each) and streamed results
-/// (`stream::BlockStream`) all drive it.
+/// unfiltered chunk. The vectorized evaluator (driver and build sides,
+/// one scan per fan-out worker) and streamed results
+/// (`stream::BlockStream`) drive it.
 pub(crate) struct DriverScan {
     filter: ScanFilter,
     parts: Parts,
@@ -1666,29 +1650,55 @@ fn pair_ctx<'a>(
     RowCtx { sides }
 }
 
+/// Cached `available_parallelism` (1 when the host can't report it).
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Runs the compiled [`VecPlan`] of `plan`. Returns the block's result
 /// rows with the same multiset (and, under ORDER BY, order) the row path
-/// produces. A block `BlockStream` can stream is collected from it, so
-/// in-process and streamed queries run the same code.
+/// produces.
+///
+/// With `fan_out` (a session's top-level block) and no LIMIT, the
+/// driver scan runs on `min(partitions, host cores)` threads (see
+/// [`scan_driver`]); the join, group-by and order tail then runs here
+/// over the survivors in partition order. Every other block — LIMIT,
+/// nested blocks, UDF bodies — that `BlockStream` can stream is
+/// collected from it, so it runs the same code as a served query.
 pub(crate) fn eval_vectorized(
     block: &SelectBlock,
     plan: &Arc<BlockPlan>,
     vp: &Arc<VecPlan>,
     env: &Env,
+    fan_out: bool,
     ctx: &mut ExecContext,
 ) -> Result<Vec<Value>> {
+    let fan_out = fan_out && block.limit.is_none();
     // `env` already holds the pre-LETs: compiled blocks have none.
-    if let Some(mut rows) = BlockStream::start(block, plan, env, ctx)? {
-        return Ok(rows.next_rows(block, ctx, usize::MAX)?.unwrap_or_default());
+    if !fan_out {
+        if let Some(mut rows) = BlockStream::start(block, plan, env, ctx)? {
+            return Ok(rows.next_rows(block, ctx, usize::MAX)?.unwrap_or_default());
+        }
     }
 
-    // Driver scan: keep only batches with survivors.
+    // Driver scan: keep only batches with survivors. A plain block has
+    // nothing past its driver filters but the projection, so its
+    // workers project too.
     ctx.stats.materializations += 1;
-    let parts = ctx.snapshots_for(&vp.driver.ds)?.to_vec();
-    let mut scan = DriverScan::kernels(vp.clone(), 0, false, parts);
+    let parts = ctx.snapshots_for(&vp.driver.ds)?;
+    let workers = if fan_out { parts.len().min(host_cores()) } else { 1 };
+    let plain = vp.join.is_none()
+        && matches!(&vp.tail, VecTail::Plain { order, .. } if order.is_empty())
+        && !block.distinct
+        && block.limit.is_none();
+    let shares = scan_driver(block, vp, &parts, workers, plain, ctx)?;
+    if plain {
+        return Ok(shares.into_iter().flat_map(|s| s.rows).collect());
+    }
     let mut d_batches: Vec<Batch> = Vec::new();
     let mut sel: Vec<Id> = Vec::new();
-    while let Some((b, s)) = scan.next_batch(ctx)? {
+    for (b, s) in shares.into_iter().flat_map(|s| s.batches) {
         let bi = d_batches.len() as u32;
         sel.extend(s.into_iter().map(|r| (bi, r)));
         d_batches.push(b);
@@ -1794,6 +1804,77 @@ pub(crate) fn eval_vectorized(
             eval_plain_vec(block, order, select, &d_batches, &j_batches, &pairs, env, ctx)
         }
     }
+}
+
+/// What [`scan_driver`] hands back per partition: the projected rows of
+/// a plain block, else the scanned batches with their survivors.
+#[derive(Default)]
+struct Share {
+    rows: Vec<Value>,
+    batches: Vec<(Batch, Vec<u32>)>,
+}
+
+/// Runs the driver scan of `vp` over `parts`, one partition at a time,
+/// projecting the survivors when `project` is set. It runs on `workers`
+/// threads — the caller's plus scoped ones — each over a contiguous
+/// share of the partitions; each spawned thread scans with a forked
+/// context whose counters are added back into `ctx`. The shares come
+/// back in partition order, and an error is the first one in partition
+/// order — both exactly as one thread scanning every partition gives
+/// them.
+fn scan_driver(
+    block: &SelectBlock,
+    vp: &Arc<VecPlan>,
+    parts: &[DatasetSnapshot],
+    workers: usize,
+    project: bool,
+    ctx: &mut ExecContext,
+) -> Result<Vec<Share>> {
+    let scan = |share: &[DatasetSnapshot], ctx: &mut ExecContext| -> Result<Vec<Share>> {
+        share.iter().map(|part| scan_partition(block, vp, part, project, ctx)).collect()
+    };
+    let scan = &scan;
+    let (n, workers) = (parts.len(), workers.max(1));
+    let share_of = |i: usize| &parts[i * n / workers..(i + 1) * n / workers];
+    let forks: Vec<ExecContext> = (1..workers).map(|_| ctx.fork()).collect();
+    let shares = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers)
+            .zip(forks)
+            .map(|(i, mut fork)| {
+                let share = share_of(i);
+                s.spawn(move || (scan(share, &mut fork), fork.stats))
+            })
+            .collect();
+        let mut shares = vec![scan(share_of(0), ctx)];
+        for h in spawned {
+            let (share, stats) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            ctx.stats.add(&stats);
+            shares.push(share);
+        }
+        shares.into_iter().collect::<Result<Vec<_>>>()
+    })?;
+    Ok(shares.into_iter().flatten().collect())
+}
+
+/// Scans one partition with the driver kernels of `vp` for
+/// [`scan_driver`].
+fn scan_partition(
+    block: &SelectBlock,
+    vp: &Arc<VecPlan>,
+    part: &DatasetSnapshot,
+    project: bool,
+    ctx: &mut ExecContext,
+) -> Result<Share> {
+    let mut scan = DriverScan::kernels(vp.clone(), 0, false, vec![part.clone()]);
+    let mut share = Share::default();
+    while let Some(chunk) = scan.next_chunk(ctx)? {
+        match chunk {
+            _ if project => scan.project(block, &chunk, 0..chunk.len(), ctx, &mut share.rows)?,
+            Chunk::Batch(b, sel) => share.batches.push((b, sel)),
+            Chunk::Rows(_) => unreachable!("kernel scans yield batches"),
+        }
+    }
+    Ok(share)
 }
 
 #[allow(clippy::too_many_arguments)]

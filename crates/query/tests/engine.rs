@@ -800,6 +800,37 @@ fn parse_on_small_stack(text: String) -> idea_query::Result<Vec<Statement>> {
         .expect("parser thread must not overflow its stack")
 }
 
+/// Runs `text` through a fresh session on a thread with the serve
+/// connection threads' 512 KB stack: parse, evaluation and drop.
+fn query_on_small_stack(text: String) -> idea_query::Result<Value> {
+    std::thread::Builder::new()
+        .stack_size(512 * 1024)
+        .spawn(move || Session::new(Catalog::new(1)).query(&text))
+        .unwrap()
+        .join()
+        .expect("query thread must not overflow its stack")
+}
+
+#[test]
+fn long_operator_chains_are_a_syntax_error_not_an_abort() {
+    let n = 100_000;
+    for text in [
+        format!("SELECT VALUE 1{};", " + 1".repeat(n)),
+        format!("SELECT VALUE false{};", " OR false".repeat(n)),
+        format!("SELECT VALUE {{\"a\": 1}}{};", ".a".repeat(n)),
+        format!("SELECT VALUE [1]{};", "[0]".repeat(n)),
+    ] {
+        let got = query_on_small_stack(text);
+        assert!(matches!(got, Err(QueryError::Syntax(_))), "got {got:?}");
+    }
+    // A 40-term chain is within the limit and evaluates correctly.
+    let sum = query_on_small_stack(format!("SELECT VALUE 1{};", " + 1".repeat(39)));
+    assert_eq!(sum.unwrap(), Value::Array(vec![Value::Int(40)]));
+    let any =
+        query_on_small_stack(format!("SELECT VALUE false{} OR true;", " OR false".repeat(38)));
+    assert_eq!(any.unwrap(), Value::Array(vec![Value::Bool(true)]));
+}
+
 #[test]
 fn deep_nesting_is_a_syntax_error_not_a_stack_overflow() {
     let n = 100_000;

@@ -14,14 +14,15 @@
 //! instead of a hung or dropped connection.
 //!
 //! Results stream: a query's rows leave the server one
-//! [`RowStream`](idea_query::RowStream) batch at a time. A parallel
-//! session streams from the merge stage of a partitioned job; a
+//! [`RowStream`](idea_query::RowStream) batch at a time. A
 //! single-dataset block without ORDER BY, GROUP BY, aggregates or
-//! DISTINCT streams off its driver scan — the same vectorized kernels
-//! and columnar page skipping an in-process query gets; anything else
-//! is materialized and re-chunked. Statements nesting deeper than the
-//! parser's limit are answered with a syntax error frame, so hostile
-//! input never exhausts a connection thread's small stack.
+//! DISTINCT streams off its driver scan on the worker's thread — the
+//! same vectorized kernels and columnar page skipping an in-process
+//! query gets; anything else is evaluated like an in-process query
+//! (its scan fanned out over the partitions), then re-chunked.
+//! Statements nesting deeper than the parser's limit — long operator
+//! chains included — are answered with a syntax error frame, so
+//! hostile input never exhausts a connection thread's small stack.
 //!
 //! [`Client`] is the matching blocking client.
 

@@ -15,9 +15,9 @@
 //!   catalog with a *shared* plan cache — the worker pool is the
 //!   session pool. Query results stream straight from
 //!   [`Session::stream_statement`] to the socket one batch at a time:
-//!   from a parallel merge stage, from the block's driver scan
-//!   (vectorized kernels when the block compiled), or — for sorts,
-//!   groups and joins — from a materialized result re-chunked.
+//!   from the block's driver scan (vectorized kernels when the block
+//!   compiled), or — for sorts, groups and joins — from a materialized
+//!   result re-chunked.
 //!
 //! The parsed-statement cache is what makes the shared plan cache
 //! effective: parsing mints fresh block ids, so only a reused AST can
@@ -38,7 +38,7 @@ use idea_core::{Error, ErrorCode, ExecOutcome, IngestionEngine};
 use idea_obs::{names, MetricsRegistry};
 use idea_query::ast::Statement;
 use idea_query::parser::parse_statements;
-use idea_query::{ExecMode, PlanCache, Session, SessionConfig};
+use idea_query::{PlanCache, Session, SessionConfig};
 use parking_lot::Mutex;
 
 use crate::admission::{AdmissionConfig, AdmissionController, Permit};
@@ -65,8 +65,6 @@ pub struct ServerConfig {
     pub result_batch_size: usize,
     /// Parsed-statement cache entries before wholesale eviction.
     pub stmt_cache_capacity: usize,
-    /// Execution mode for the pooled sessions.
-    pub exec_mode: ExecMode,
 }
 
 impl Default for ServerConfig {
@@ -78,7 +76,6 @@ impl Default for ServerConfig {
             admission: AdmissionConfig::default(),
             result_batch_size: 256,
             stmt_cache_capacity: 1024,
-            exec_mode: ExecMode::Sequential,
         }
     }
 }
@@ -402,7 +399,6 @@ fn count_shed(shared: &Shared, err: &Error) {
 fn worker_loop(shared: Arc<Shared>, jobs: Receiver<Job>) {
     let session = shared.engine.new_session(
         SessionConfig::new()
-            .mode(shared.config.exec_mode)
             .result_batch_size(shared.config.result_batch_size)
             .shared_plan_cache(shared.plan_cache.clone()),
     );

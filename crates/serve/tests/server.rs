@@ -242,6 +242,29 @@ fn deeply_nested_query_gets_an_error_frame_and_the_server_keeps_answering() {
 }
 
 #[test]
+fn long_operator_chain_gets_an_error_frame_and_the_server_keeps_answering() {
+    let (engine, server) = serve_tweets(10, ServerConfig::default());
+    let mut client = Client::connect(server.local_addr(), "chain").unwrap();
+    let n = 100_000;
+    for q in [
+        format!("SELECT VALUE 1{};", " + 1".repeat(n)),
+        format!("SELECT VALUE t.id FROM Tweets t WHERE false{};", " OR false".repeat(n)),
+    ] {
+        let err = client.query(&q).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::Syntax, "{err}");
+    }
+    // A chain within the limit still evaluates, and the connection and
+    // the server keep answering.
+    let sum = client.query(&format!("SELECT VALUE 1{};", " + 1".repeat(39))).unwrap();
+    assert_eq!(sum, vec![Value::Int(40)]);
+    assert_eq!(client.query("SELECT VALUE t.id FROM Tweets t").unwrap().len(), 10);
+    let mut other = Client::connect(server.local_addr(), "after").unwrap();
+    assert_eq!(other.query("SELECT VALUE t.id FROM Tweets t").unwrap().len(), 10);
+    assert!(engine.metrics().snapshot().counter("serve/errors").unwrap_or(0) >= 2);
+    server.shutdown();
+}
+
+#[test]
 fn served_filter_scan_runs_the_vectorized_driver_scan() {
     let (engine, server) = serve_tweets(300, ServerConfig::default());
     let mut client = Client::connect(server.local_addr(), "vec").unwrap();

@@ -172,22 +172,18 @@ fn queue_depth_gauge_tracks_stalled_consumer() {
 }
 
 /// The vectorized query path's `query/batch/*` instruments: the batch
-/// counter and rows-per-batch histogram record both sequential and
-/// parallel scans, the fallback counter records row-path demotions, and
-/// the plan-cache probe is weak-ref'd (reads 0 once the session drops).
+/// counter and rows-per-batch histogram record every scanned batch, the
+/// fallback counter records row-path demotions, a fanned-out scan's
+/// worker counters reach both the registry and `last_stats`, and the
+/// plan-cache probe is weak-ref'd (reads 0 once the session drops).
 #[test]
 fn query_batch_metrics_appear() {
-    use idea::hyracks::Cluster;
     use idea::obs::names;
-    use idea::query::{Catalog, ExecMode, SessionConfig};
+    use idea::query::{Catalog, SessionConfig};
 
-    let cluster = Cluster::with_nodes(2);
     let registry = MetricsRegistry::new();
-    cluster.attach_metrics(registry.clone());
     let catalog = Catalog::new(2);
-    // Force parallel dispatch on single-core CI hosts: this test wants
-    // the per-partition scan tasks, not the core-count heuristic.
-    let session = SessionConfig::new().parallel_min_cores(1).build_on(catalog, cluster);
+    let session = SessionConfig::new().build_on(catalog, registry.clone());
     session
         .run_script(
             r#"
@@ -222,14 +218,16 @@ fn query_batch_metrics_appear() {
     assert!(snap.counter(names::QUERY_BATCH_FALLBACKS).unwrap_or_default() >= 1);
     assert_eq!(snap.counter(names::QUERY_BATCHES_BUILT), Some(built), "fallback built batches");
 
-    // Parallel mode: per-partition scan tasks build batches too.
-    session.set_mode(ExecMode::Parallel);
+    // A collected query fans its scan out over both partitions (on a
+    // multi-core host): every worker's counters are summed into
+    // `last_stats`, and they agree with what the workers recorded in
+    // the registry.
     session.query("SELECT VALUE p.id FROM Points p WHERE p.score > 3").unwrap();
-    let snap = registry.snapshot();
-    assert!(
-        snap.counter(names::QUERY_BATCHES_BUILT).unwrap() > built,
-        "parallel scan built no batches"
-    );
+    let stats = session.last_stats();
+    let delta = registry.snapshot().counter(names::QUERY_BATCHES_BUILT).unwrap() - built;
+    assert_eq!(stats.rows_scanned, 500, "every partition's rows are counted");
+    assert_eq!(stats.batches_built, delta, "every worker's batches are counted");
+    assert!(stats.batches_built >= 2, "one batch per partition at least");
 
     // Weak ref: dropping the session (and with it the plan cache) must
     // not leave a live probe behind.

@@ -1,34 +1,36 @@
-//! Differential tests: the parallel partitioned query path vs. the
-//! sequential evaluator (its oracle).
+//! Differential tests: the vectorized executor, whose top-level driver
+//! scan fans out over a dataset's partitions, vs. the row-at-a-time
+//! evaluator (its oracle, a `vectorize(false)` session).
 //!
-//! A randomized workload of SELECT / GROUP BY / JOIN / ORDER BY
-//! queries runs through both [`ExecMode`]s on a multi-partition
-//! cluster; results must be identical after order normalization
-//! (SQL++ result order is unspecified without ORDER BY). A second
-//! test kills a node mid-workload: every parallel invocation then
-//! falls back to the sequential evaluator and answers stay correct.
+//! A randomized workload of SELECT / GROUP BY / JOIN / ORDER BY /
+//! LIMIT / DISTINCT queries runs through both sessions over a
+//! 4-partition dataset. Results must be identical *including row
+//! order*: the fan-out hands its workers' output to the join, group-by
+//! and order tail in partition order, so even unordered results and
+//! first-seen group order match a single-threaded scan. Further tests
+//! check that answers stay correct with a cluster node killed, that a
+//! repeated statement reuses one cached plan, and that DDL and new data
+//! between executions are seen.
 
 use std::sync::Arc;
 
 use idea::adm::Value;
-use idea::hyracks::Cluster;
-use idea::obs::MetricsRegistry;
-use idea::query::{Catalog, ExecMode, Session, SessionConfig};
+use idea::ingestion::IngestionEngine;
+use idea::obs::names;
+use idea::query::{Session, SessionConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const NODES: usize = 4;
 const COUNTRIES: &[&str] = &["US", "DE", "FR", "JP", "BR", "IN"];
 
-fn setup(seed: u64) -> (Session, Arc<Cluster>, Arc<MetricsRegistry>) {
-    let cluster = Cluster::with_nodes(NODES);
-    let metrics = MetricsRegistry::new();
-    cluster.attach_metrics(metrics.clone());
-    let catalog = Catalog::new(NODES);
-    // These tests exercise the parallel runtime itself, so dispatch is
-    // forced even on single-core CI hosts (where the default core gate
-    // would route everything to the sequential evaluator).
-    let session = SessionConfig::new().parallel_min_cores(1).build_on(catalog, cluster.clone());
+/// A 4-node engine with the tweet/word schema loaded, and two sessions
+/// over it: the default (fan-out) one and the row-at-a-time oracle.
+fn setup(seed: u64) -> (Arc<IngestionEngine>, Session, Session) {
+    let engine = IngestionEngine::with_nodes(NODES);
+    let oracle = engine.new_session(SessionConfig::new().vectorize(false));
+    // Built last, so the registry's cached-plan probe reads its cache.
+    let session = engine.new_session(SessionConfig::new());
     session
         .run_script(
             r#"
@@ -43,17 +45,7 @@ fn setup(seed: u64) -> (Session, Arc<Cluster>, Arc<MetricsRegistry>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let tweets = session.catalog().dataset("Tweets").unwrap();
     for id in 0..600i64 {
-        let country = COUNTRIES[rng.random_range(0..COUNTRIES.len())];
-        let score = rng.random_range(0..100i64);
-        let text = format!("tweet {id} from {country} mentions topic{}", rng.random_range(0..8u32));
-        tweets
-            .insert(Value::object([
-                ("id", Value::Int(id)),
-                ("country", Value::str(country)),
-                ("score", Value::Int(score)),
-                ("text", Value::str(&text)),
-            ]))
-            .unwrap();
+        tweets.insert(tweet(&mut rng, id)).unwrap();
     }
     let words = session.catalog().dataset("Words").unwrap();
     for wid in 0..20i64 {
@@ -66,40 +58,37 @@ fn setup(seed: u64) -> (Session, Arc<Cluster>, Arc<MetricsRegistry>) {
             ]))
             .unwrap();
     }
-    (session, cluster, metrics)
+    (engine, session, oracle)
 }
 
-/// Renders a result array as a sorted list of row strings, so two
-/// result sets compare equal regardless of row order.
-fn normalized(v: &Value) -> Vec<String> {
-    let mut rows: Vec<String> = v
-        .as_array()
-        .expect("query yields an array")
-        .iter()
-        .map(|r| format!("{r}"))
-        .collect();
-    rows.sort();
-    rows
+fn tweet(rng: &mut StdRng, id: i64) -> Value {
+    let country = COUNTRIES[rng.random_range(0..COUNTRIES.len())];
+    let score = rng.random_range(0..100i64);
+    let text = format!("tweet {id} from {country} mentions topic{}", rng.random_range(0..8u32));
+    Value::object([
+        ("id", Value::Int(id)),
+        ("country", Value::str(country)),
+        ("score", Value::Int(score)),
+        ("text", Value::str(&text)),
+    ])
 }
 
-/// A randomized query workload over the tweet/word schema. Every query
-/// either fixes a total order (ORDER BY a unique key) or is compared
-/// order-normalized.
+/// A randomized query workload over the tweet/word schema.
 fn workload(rng: &mut StdRng, n: usize) -> Vec<String> {
     let mut queries = Vec::with_capacity(n);
     for _ in 0..n {
         let cutoff = rng.random_range(5..95i64);
         let limit = rng.random_range(1..40usize);
         let country = COUNTRIES[rng.random_range(0..COUNTRIES.len())];
-        let q = match rng.random_range(0..8u32) {
-            // Plain partitioned scan with a pushed-down filter.
+        let q = match rng.random_range(0..10u32) {
+            // Plain scan with a pushed-down filter.
             0 => format!("SELECT VALUE t.id FROM Tweets t WHERE t.score < {cutoff}"),
-            // ORDER BY the primary key + LIMIT (deterministic order).
+            // ORDER BY the primary key + LIMIT.
             1 => format!(
                 "SELECT t.id AS id, t.score AS score FROM Tweets t \
                  WHERE t.score >= {cutoff} ORDER BY t.id LIMIT {limit}"
             ),
-            // Hash-partitioned GROUP BY with multiple aggregates.
+            // GROUP BY with multiple aggregates.
             2 => format!(
                 "SELECT t.country AS c, count(*) AS n, sum(t.score) AS total \
                  FROM Tweets t WHERE t.score < {cutoff} \
@@ -123,6 +112,10 @@ fn workload(rng: &mut StdRng, n: usize) -> Vec<String> {
             ),
             // DISTINCT projection.
             6 => format!("SELECT DISTINCT VALUE t.country FROM Tweets t WHERE t.score < {cutoff}"),
+            // LIMIT without ORDER BY: the first rows in scan order.
+            7 => format!("SELECT VALUE t.id FROM Tweets t WHERE t.score > {cutoff} LIMIT {limit}"),
+            // Unordered GROUP BY: groups in first-seen order.
+            8 => "SELECT t.country AS c, count(*) AS n FROM Tweets t GROUP BY t.country".into(),
             // Grouped join: flagged tweet counts per word.
             _ => "SELECT w.word AS word, count(*) AS n FROM Tweets t, Words w \
                   WHERE t.country = w.country AND contains(t.text, w.word) \
@@ -134,96 +127,78 @@ fn workload(rng: &mut StdRng, n: usize) -> Vec<String> {
     queries
 }
 
-fn both_modes(session: &Session, q: &str) -> (Vec<String>, Vec<String>) {
-    session.set_mode(ExecMode::Sequential);
-    let seq = session.query(q).unwrap_or_else(|e| panic!("sequential failed for {q}: {e}"));
-    session.set_mode(ExecMode::Parallel);
-    let par = session.query(q).unwrap_or_else(|e| panic!("parallel failed for {q}: {e}"));
-    (normalized(&seq), normalized(&par))
+/// Runs `q` on the fan-out session and the oracle, asserting identical
+/// results (row order included).
+fn check(session: &Session, oracle: &Session, q: &str) {
+    let want = oracle.query(q).unwrap_or_else(|e| panic!("oracle failed for {q}: {e}"));
+    let got = session.query(q).unwrap_or_else(|e| panic!("fan-out failed for {q}: {e}"));
+    assert_eq!(format!("{got}"), format!("{want}"), "executors disagree on: {q}");
 }
 
 #[test]
 fn parallel_matches_sequential_on_randomized_workload() {
-    let (session, _cluster, metrics) = setup(42);
+    let (_engine, session, oracle) = setup(42);
     let mut rng = StdRng::seed_from_u64(7);
-    for q in workload(&mut rng, 60) {
-        let (seq, par) = both_modes(&session, &q);
-        assert_eq!(seq, par, "modes disagree on: {q}");
+    for q in workload(&mut rng, 80) {
+        check(&session, &oracle, &q);
     }
-    let snap = metrics.snapshot();
-    let invocations = snap.counter("query/parallel/invocations").unwrap_or(0);
-    assert!(invocations > 0, "no query actually ran on the parallel path");
+    // An evaluation error in the scan surfaces from the fan-out too.
+    let q = "SELECT VALUE t.id FROM Tweets t WHERE t.score > 50 AND NOT t.text";
+    let (want, got) = (oracle.query(q).unwrap_err(), session.query(q).unwrap_err());
+    assert_eq!(got.to_string(), want.to_string());
 }
 
 #[test]
-fn repeated_query_reuses_one_deployed_job() {
-    let (session, _cluster, metrics) = setup(3);
-    session.set_mode(ExecMode::Parallel);
-    // One parsed statement, executed many times: the job is deployed
-    // once and every invocation goes through the resident task pool.
-    let stmts = idea::query::parser::parse_statements(
-        "SELECT t.country AS c, count(*) AS n FROM Tweets t GROUP BY t.country",
-    )
-    .unwrap();
-    let mut last = None;
+fn repeated_query_reuses_one_cached_plan() {
+    let (engine, session, oracle) = setup(3);
+    // One parsed statement, executed many times: its block is planned
+    // and vectorized once, and every execution gives the same answer.
+    let q = "SELECT t.country AS c, count(*) AS n FROM Tweets t GROUP BY t.country";
+    let want = oracle.query(q).unwrap();
+    let stmts = idea::query::parser::parse_statements(q).unwrap();
     for _ in 0..5 {
         let v = session.execute(&stmts[0]).unwrap().into_value().unwrap();
-        let n = normalized(&v);
-        if let Some(prev) = &last {
-            assert_eq!(prev, &n);
-        }
-        last = Some(n);
+        assert_eq!(v, want);
     }
-    let snap = metrics.snapshot();
-    assert_eq!(snap.counter("query/parallel/deploys"), Some(1), "expected exactly one deploy");
-    assert_eq!(snap.counter("query/parallel/invocations"), Some(5));
+    let snap = engine.metrics().snapshot();
+    assert_eq!(snap.gauge(names::QUERY_VEC_PLANS), Some(1), "expected exactly one cached plan");
 }
 
 #[test]
-fn node_kill_falls_back_to_sequential_and_stays_correct() {
-    let (session, cluster, metrics) = setup(99);
+fn node_kill_leaves_answers_correct() {
+    let (engine, session, oracle) = setup(99);
     let mut rng = StdRng::seed_from_u64(13);
 
-    // Warm the parallel path, then kill a node under the pinned scan
-    // stages.
-    let (seq, par) = both_modes(&session, "SELECT VALUE t.id FROM Tweets t WHERE t.score < 50");
-    assert_eq!(seq, par);
-    cluster.kill_node(2);
-
-    session.set_mode(ExecMode::Parallel);
+    // Queries read storage in-process, so a killed node (which fails
+    // the ingestion jobs pinned to it) must not change any answer.
+    engine.cluster().kill_node(2);
     for q in workload(&mut rng, 12) {
-        let (s, p) = both_modes(&session, &q);
-        assert_eq!(s, p, "modes disagree with node 2 down on: {q}");
+        check(&session, &oracle, &q);
     }
-    let snap = metrics.snapshot();
-    let fallbacks = snap.counter("query/parallel/fallbacks").unwrap_or(0);
-    assert!(fallbacks > 0, "expected parallel invocations to fall back while node 2 is down");
-
-    // After restore the parallel path serves again — and still agrees.
-    cluster.restore_node(2);
-    let before = snap.counter("query/parallel/invocations").unwrap_or(0);
+    engine.cluster().restore_node(2);
     for q in workload(&mut rng, 8) {
-        let (s, p) = both_modes(&session, &q);
-        assert_eq!(s, p, "modes disagree after restoring node 2 on: {q}");
+        check(&session, &oracle, &q);
     }
-    let after = metrics.snapshot().counter("query/parallel/invocations").unwrap_or(0);
-    assert!(after > before, "parallel path did not resume after node restore");
 }
 
 #[test]
-fn ddl_between_executions_redeploys_the_job() {
-    let (session, _cluster, metrics) = setup(5);
-    session.set_mode(ExecMode::Parallel);
-    let stmts = idea::query::parser::parse_statements(
-        "SELECT VALUE t.id FROM Tweets t WHERE t.country = \"US\"",
-    )
-    .unwrap();
+fn ddl_between_executions_gives_fresh_answers() {
+    let (_engine, session, oracle) = setup(5);
+    let q = "SELECT VALUE t.id FROM Tweets t WHERE t.country = \"US\"";
+    let stmts = idea::query::parser::parse_statements(q).unwrap();
     let v1 = session.execute(&stmts[0]).unwrap().into_value().unwrap();
-    // DDL moves the catalog version: the cached deployed job is stale
-    // (its embedded plan may pick a different access path now).
+    assert_eq!(v1, oracle.query(q).unwrap());
+
+    // DDL moves the catalog version: the cached plan is stale (it may
+    // pick a different access path now). New rows must show up too.
     session.run_script("CREATE INDEX tc ON Tweets(country) TYPE BTREE;").unwrap();
+    let tweets = session.catalog().dataset("Tweets").unwrap();
+    let mut rng = StdRng::seed_from_u64(6);
+    for id in 600..700i64 {
+        tweets.insert(tweet(&mut rng, id)).unwrap();
+    }
     let v2 = session.execute(&stmts[0]).unwrap().into_value().unwrap();
-    assert_eq!(normalized(&v1), normalized(&v2));
-    let snap = metrics.snapshot();
-    assert_eq!(snap.counter("query/parallel/deploys"), Some(2), "DDL must force a redeploy");
+    assert_eq!(v2, oracle.query(q).unwrap());
+    let n = |v: &Value| v.as_array().unwrap().len();
+    assert!(n(&v2) > n(&v1), "rows inserted after the DDL are missing");
 }
