@@ -21,6 +21,13 @@
 //! The vectorized run also records a per-operator time breakdown
 //! (scan/filter/join/agg/merge) from the engine's own counters.
 //!
+//! A `point` section times primary-key lookups
+//! (`WHERE t.id = <literal>`, a distinct key per run, parse and plan
+//! included) two ways on the vectorized session: `keyed`, which probes
+//! the one partition that owns the key, and `noindex`, the same text
+//! with `/*+ noindex */`, which scans every record. Both must return the
+//! same rows.
+//!
 //! A separate disk-backed section compares the two sealed-component
 //! layouts under the same vectorized evaluator: identical records in a
 //! row-major and a `WITH {"layout": "columnar"}` dataset, a pure scan
@@ -35,7 +42,8 @@
 //! the acceptance bars: vectorized group-by and join beat
 //! row-at-a-time, the pure scan by at least 2x, the columnar disk scan
 //! at least 2x over the row-major layout, and (on multi-core hosts)
-//! the fanned-out group-by beats the row baseline by at least 1.1x.
+//! the fanned-out group-by beats the row baseline by at least 1.1x, and
+//! the keyed point lookup is at least 5x faster than its noindex scan.
 
 use std::time::{Duration, Instant};
 
@@ -213,6 +221,52 @@ fn measure_query(
         speedup_vectorized,
         operators,
     }
+}
+
+/// The point-lookup section: keyed probe vs `/*+ noindex */` scan.
+struct PointResult {
+    iterations: usize,
+    keyed: LatencyStats,
+    noindex: LatencyStats,
+    /// noindex mean / keyed mean.
+    speedup_keyed: f64,
+}
+
+/// Times `iterations` primary-key lookups of distinct keys, keyed and
+/// `/*+ noindex */` interleaved, each text parsed and planned afresh
+/// (as a client sending literal keys gets them). Asserts that both
+/// return the same rows.
+fn measure_point(session: &Session, rows: u64, iterations: usize) -> PointResult {
+    let warmup = (iterations / 10).max(2);
+    let (mut keyed, mut noindex) = (Vec::new(), Vec::new());
+    for i in 0..warmup + iterations {
+        let key = (i as u64 * 7_919 + 13) % rows;
+        let mut out = Vec::new();
+        for (hint, samples) in [("", &mut keyed), ("/*+ noindex */ ", &mut noindex)] {
+            let q = format!("SELECT VALUE t FROM Tweets {hint}t WHERE t.id = {key}");
+            let t = Instant::now();
+            let v = session.query(&q).expect("point query");
+            if i >= warmup {
+                samples.push(t.elapsed());
+            }
+            out.push(v);
+        }
+        assert_eq!(out[0], out[1], "point key {key}: keyed and noindex disagree");
+        assert_eq!(out[0].as_array().map(<[_]>::len), Some(1), "point key {key} not found");
+    }
+    let (keyed, noindex) = (stats(&keyed), stats(&noindex));
+    let speedup_keyed = noindex.mean_us / keyed.mean_us;
+    PointResult { iterations, keyed, noindex, speedup_keyed }
+}
+
+fn json_point(p: &PointResult) -> String {
+    format!(
+        "{{\"iterations\": {}, \"keyed\": {}, \"noindex\": {}, \"speedup_keyed\": {:.2}}}",
+        p.iterations,
+        json_latency(&p.keyed),
+        json_latency(&p.noindex),
+        p.speedup_keyed
+    )
 }
 
 /// The columnar-layout section: the same pure-scan query over two
@@ -420,6 +474,12 @@ fn main() {
         );
     }
 
+    let point = measure_point(&vec_session, rows, iterations);
+    eprintln!(
+        "{:<14} keyed {:>7.1}us  noindex {:>9.1}us ({:.2}x)",
+        "point", point.keyed.mean_us, point.noindex.mean_us, point.speedup_keyed
+    );
+
     // Disk-backed layout comparison: identical data sealed row-major vs
     // columnar, scanned by the same vectorized evaluator.
     let disk_rows = if smoke { 20_000u64 } else { 100_000u64 };
@@ -441,12 +501,13 @@ fn main() {
     let body: Vec<String> = results.iter().map(|r| format!("    {}", json_query(r))).collect();
     let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     let json = format!(
-        "{{\n  \"smoke\": {},\n  \"nodes\": {},\n  \"rows\": {},\n  \"cores\": {},\n  \"queries\": [\n{}\n  ],\n  \"columnar\": {}\n}}\n",
+        "{{\n  \"smoke\": {},\n  \"nodes\": {},\n  \"rows\": {},\n  \"cores\": {},\n  \"queries\": [\n{}\n  ],\n  \"point\": {},\n  \"columnar\": {}\n}}\n",
         smoke,
         NODES,
         rows,
         cores,
         body.join(",\n"),
+        json_point(&point),
         json_columnar(&columnar)
     );
     std::fs::write(&path, json).expect("write BENCH_query.json");
@@ -488,6 +549,11 @@ fn main() {
             scan.speedup_vectorized >= 2.0,
             "vectorized pure scan speedup {:.2}x is below the 2x acceptance bar",
             scan.speedup_vectorized
+        );
+        assert!(
+            point.speedup_keyed >= 5.0,
+            "keyed point lookup speedup {:.2}x over the noindex scan is below the 5x bar",
+            point.speedup_keyed
         );
         for name in ["scan_group_by", "grouped_join"] {
             let r = get(name);

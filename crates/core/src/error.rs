@@ -178,20 +178,25 @@ impl From<QueryError> for Error {
             QueryError::Syntax(_) => ErrorCode::Syntax,
             QueryError::Unresolved(_) => ErrorCode::Unresolved,
             QueryError::Eval(_) => ErrorCode::Eval,
-            QueryError::Storage(_) => ErrorCode::Storage,
+            QueryError::Storage(s) => storage_code(s),
             QueryError::Invalid(_) => ErrorCode::InvalidRequest,
         };
         Error { code, message: e.to_string(), source: Some(Box::new(IngestError::Query(e))) }
     }
 }
 
+/// The wire code of a storage failure, wherever it surfaced.
+fn storage_code(e: &StorageError) -> ErrorCode {
+    match e {
+        StorageError::Io(_) => ErrorCode::StorageIo,
+        StorageError::Corrupt(_) => ErrorCode::Corrupt,
+        _ => ErrorCode::Storage,
+    }
+}
+
 impl From<StorageError> for Error {
     fn from(e: StorageError) -> Error {
-        let code = match &e {
-            StorageError::Io(_) => ErrorCode::StorageIo,
-            StorageError::Corrupt(_) => ErrorCode::Corrupt,
-            _ => ErrorCode::Storage,
-        };
+        let code = storage_code(&e);
         Error { code, message: e.to_string(), source: Some(Box::new(IngestError::Storage(e))) }
     }
 }
@@ -374,6 +379,9 @@ mod tests {
         // Other storage failures keep the generic code.
         let e: Error = StorageError::DuplicateKey("7".into()).into();
         assert_eq!(e.code(), ErrorCode::Storage);
+        // A query that hits a corrupt block keeps the corruption code.
+        let e: Error = QueryError::from(StorageError::Corrupt("page 2".into())).into();
+        assert_eq!(e.code().as_u16(), 2003);
     }
 
     #[test]

@@ -14,8 +14,9 @@ pub enum QueryError {
     Unresolved(String),
     /// Runtime evaluation failure (bad types, arity, division by zero).
     Eval(String),
-    /// Storage-layer failure surfaced during DML.
-    Storage(String),
+    /// Storage-layer failure surfaced by a scan, a probe or DML; keeps
+    /// the storage error's kind (a corrupt block stays `Corrupt`).
+    Storage(StorageError),
     /// Semantically invalid statement (e.g. duplicate CREATE).
     Invalid(String),
 }
@@ -42,6 +43,6 @@ impl From<AdmError> for QueryError {
 
 impl From<StorageError> for QueryError {
     fn from(e: StorageError) -> Self {
-        QueryError::Storage(e.to_string())
+        QueryError::Storage(e)
     }
 }

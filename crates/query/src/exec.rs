@@ -19,6 +19,7 @@ use std::sync::Arc;
 use idea_adm::value::Circle;
 use idea_adm::Value;
 use idea_storage::dataset::DatasetSnapshot;
+use idea_storage::partitioned::hash_partition;
 use parking_lot::RwLock;
 
 use crate::ast::{Expr, FromSource, SelectBlock, SelectClause, SelectItem};
@@ -273,6 +274,9 @@ pub struct ExecContext {
     catalog: Arc<Catalog>,
     plan_cache: Arc<PlanCache>,
     snapshots: HashMap<String, Arc<Vec<DatasetSnapshot>>>,
+    /// Single partitions pinned by key probes, by (dataset, partition),
+    /// until a full pin of their dataset takes them over.
+    partition_pins: HashMap<(String, usize), DatasetSnapshot>,
     builds: HashMap<(u32, usize), Arc<BuildState>>,
     uncorrelated: HashMap<u32, Arc<Vec<Value>>>,
     natives: HashMap<String, Box<dyn NativeUdf>>,
@@ -307,6 +311,7 @@ impl ExecContext {
             catalog,
             plan_cache,
             snapshots: HashMap::new(),
+            partition_pins: HashMap::new(),
             builds: HashMap::new(),
             uncorrelated: HashMap::new(),
             natives: HashMap::new(),
@@ -358,6 +363,7 @@ impl ExecContext {
     /// INDEX or DROP DATASET between batches forces re-planning.
     pub fn refresh(&mut self) {
         self.snapshots.clear();
+        self.partition_pins.clear();
         self.builds.clear();
         self.uncorrelated.clear();
         self.natives.clear();
@@ -397,9 +403,29 @@ impl ExecContext {
             return Ok(s.clone());
         }
         let ds = self.catalog.dataset(dataset)?;
-        let snaps = Arc::new(ds.snapshot_all());
+        let snaps: Vec<DatasetSnapshot> = (0..ds.partition_count())
+            .map(|p| {
+                let pinned = self.partition_pins.remove(&(dataset.to_owned(), p));
+                pinned.unwrap_or_else(|| ds.snapshot_partition(p))
+            })
+            .collect();
+        let snaps = Arc::new(snaps);
         self.snapshots.insert(dataset.to_owned(), snaps.clone());
         Ok(snaps)
+    }
+
+    /// Pins (or returns the pinned) snapshot of the one partition of
+    /// `dataset` that owns primary key `pk`, leaving the other
+    /// partitions unpinned. A later [`snapshots_for`](Self::snapshots_for)
+    /// of the dataset keeps this partition's view.
+    pub(crate) fn snapshot_owning(&mut self, dataset: &str, pk: &Value) -> Result<DatasetSnapshot> {
+        let ds = self.catalog.dataset(dataset)?;
+        let p = hash_partition(pk, ds.partition_count());
+        if let Some(all) = self.snapshots.get(dataset) {
+            return Ok(all[p].clone());
+        }
+        let pin = self.partition_pins.entry((dataset.to_owned(), p));
+        Ok(pin.or_insert_with(|| ds.snapshot_partition(p)).clone())
     }
 
     pub(crate) fn cached_uncorrelated(&self, block_id: u32) -> Option<Arc<Vec<Value>>> {
@@ -581,7 +607,7 @@ fn fetch_candidates(
                         let snaps = ctx.snapshots_for(name)?;
                         let mut rows = Vec::new();
                         for s in snaps.iter() {
-                            rows.extend(s.iter());
+                            rows.extend(s.read_all()?);
                         }
                         ctx.stats.rows_scanned += rows.len() as u64;
                         return Ok(CandList::Owned(apply_filters(
@@ -722,7 +748,7 @@ fn materialize(
     let snaps = ctx.snapshots_for(ds_name)?;
     let mut rows = Vec::new();
     for s in snaps.iter() {
-        rows.extend(s.iter());
+        rows.extend(s.read_all()?);
     }
     ctx.stats.rows_scanned += rows.len() as u64;
     ctx.stats.materializations += 1;
@@ -752,7 +778,8 @@ fn hash_build(
     let mut map: HashMap<Vec<Value>, Vec<Arc<Value>>> = HashMap::new();
     let mut n_rows = 0u64;
     for s in snaps.iter() {
-        'row: for rec in s.iter() {
+        let mut recs = s.iter();
+        'row: for rec in recs.by_ref() {
             n_rows += 1;
             let rec = rec.clone();
             let env = slot.set(rec.clone());
@@ -769,6 +796,9 @@ fn hash_build(
                 continue; // unknown keys never join
             }
             map.entry(kv).or_default().push(rec);
+        }
+        if let Some(e) = recs.error() {
+            return Err(e.clone().into());
         }
     }
     ctx.stats.rows_scanned += n_rows;

@@ -19,7 +19,12 @@
 //! * **materialize** (fallback): snapshot the dataset once per context
 //!   and filter per record — the plan shape of similarity joins (Fuzzy
 //!   Suspects) and region-containment joins that a point R-tree cannot
-//!   serve.
+//!   serve. A materialized item whose self filter pins the primary key
+//!   to a constant (`alias.<pk> = e`, `e` reading no identifier, no
+//!   `/*+ noindex */` hint) gets a [`FromPlan::key`]: the driver scan
+//!   then reads that one record instead of the dataset, AsterixDB's
+//!   primary-index search. The conjunct is moved to the front of the
+//!   self filter and still re-checks the record.
 //!
 //! Each WHERE conjunct is assigned to exactly one place: a build-side
 //! filter, a probe key, a per-item residual, or the post-LET filter.
@@ -70,6 +75,13 @@ pub struct FromPlan {
     pub self_filter: Vec<Expr>,
     /// Conjuncts applied in the join loop once this item is bound.
     pub residual: Vec<Expr>,
+    /// The primary-key value a full-scan (`Materialize`) dataset item is
+    /// pinned to: `e` of a self-filter conjunct `alias.<primary key> = e`
+    /// whose `e` reads no identifier (a literal, a `$param`, or an
+    /// expression of those). The driver scan evaluates it once and reads
+    /// the one record it names; the conjunct stays first in
+    /// `self_filter`, so `=` semantics still decide on that record.
+    pub key: Option<Expr>,
 }
 
 /// Plan for a whole block.
@@ -401,7 +413,20 @@ pub fn plan_block(block: &SelectBlock, catalog: &Catalog) -> Result<BlockPlan> {
                 AccessPath::Iterate
             }
         };
-        from_order.push(FromPlan { item_idx: idx, path, self_filter, residual });
+        // A full scan pinned to one primary key reads one record, unless
+        // `/*+ noindex */` asks for the scan. The conjunct leads the self
+        // filter either way, so both plans evaluate conjuncts alike.
+        let key = match (&path, &item.source) {
+            (AccessPath::Materialize, FromSource::Name(ds_name)) => {
+                catalog.dataset(ds_name).ok().and_then(|ds| {
+                    let pk = ds.partitions()[0].primary_key_field().to_string();
+                    key_first(&mut self_filter, alias, &pk)
+                })
+            }
+            _ => None,
+        }
+        .filter(|_| hint != Some("noindex"));
+        from_order.push(FromPlan { item_idx: idx, path, self_filter, residual, key });
     }
 
     let has_aggregates = match &block.select {
@@ -441,6 +466,30 @@ fn match_equality(c: &Expr, alias: &str) -> Option<(Expr, Expr, HashSet<String>)
     } else {
         None
     }
+}
+
+/// Finds the first conjunct `alias.<pk> = e` (either order) of `self_filter`
+/// whose `e` reads no identifier, moves it to the front and returns `e`.
+///
+/// Leading with it means no other self-filter conjunct is ever evaluated
+/// on a record whose key differs, under any executor — so reading only
+/// the keyed record cannot hide an evaluation error another record would
+/// have raised.
+fn key_first(self_filter: &mut Vec<Expr>, alias: &str, pk: &str) -> Option<Expr> {
+    let pos = self_filter.iter().position(|c| key_side(c, alias, pk).is_some())?;
+    let c = self_filter.remove(pos);
+    let key = key_side(&c, alias, pk).cloned();
+    self_filter.insert(0, c);
+    key
+}
+
+/// The `e` of `alias.<pk> = e` or `e = alias.<pk>` when `e` reads no
+/// identifier.
+fn key_side<'a>(c: &'a Expr, alias: &str, pk: &str) -> Option<&'a Expr> {
+    let Expr::Binary(BinOp::Eq, a, b) = c else { return None };
+    [(a, b), (b, a)].into_iter().find_map(|(x, e)| {
+        (field_path_on(x, alias).as_deref() == Some(pk) && free_of(e).is_empty()).then_some(&**e)
+    })
 }
 
 /// `spatial_intersect(alias.<point path>, <region expr without alias>)`
@@ -555,6 +604,7 @@ fn choose_dataset_path(
 mod tests {
     use super::*;
     use crate::parser::parse_query;
+    use idea_adm::Value;
 
     fn catalog_with_words() -> std::sync::Arc<Catalog> {
         let c = Catalog::new(1);
@@ -721,6 +771,91 @@ mod tests {
         let plan = plan_block(&q, &c).unwrap();
         assert!(matches!(&plan.from_order[0].path, AccessPath::IndexSpatial { index, .. }
             if index == "floc"));
+    }
+
+    fn key_of(c: &Catalog, q: &str) -> Option<Expr> {
+        let plan = plan_block(&parse_query(q).unwrap(), c).unwrap();
+        plan.from_order[0].key.clone()
+    }
+
+    #[test]
+    fn primary_key_equality_with_a_constant_sets_the_key() {
+        let c = catalog_with_words();
+        for (q, want) in [
+            ("SELECT VALUE s FROM SensitiveWords s WHERE s.wid = 5", Expr::Literal(Value::Int(5))),
+            ("SELECT VALUE s FROM SensitiveWords s WHERE 5 = s.wid", Expr::Literal(Value::Int(5))),
+            ("SELECT VALUE s FROM SensitiveWords s WHERE s.wid = $k", Expr::Param("k".into())),
+        ] {
+            assert_eq!(format!("{:?}", key_of(&c, q)), format!("{:?}", Some(want)), "{q}");
+        }
+        let q = "SELECT VALUE s FROM SensitiveWords s WHERE s.country = \"US\" AND s.wid = 2 + 3";
+        let plan = plan_block(&parse_query(q).unwrap(), &c).unwrap();
+        let fp = &plan.from_order[0];
+        assert!(matches!(fp.path, AccessPath::Materialize));
+        assert!(matches!(fp.key, Some(Expr::Binary(BinOp::Add, ..))));
+        // The key conjunct stays a filter, moved to the front.
+        assert_eq!(fp.self_filter.len(), 2);
+        assert!(key_side(&fp.self_filter[0], "s", "wid").is_some());
+    }
+
+    #[test]
+    fn key_guards_keep_the_scan() {
+        let c = catalog_with_words();
+        for q in [
+            "SELECT VALUE s FROM SensitiveWords s WHERE s.wid = 5 OR s.wid = 6",
+            "SELECT VALUE s FROM SensitiveWords s WHERE s.wid IN [5, 6]",
+            "SELECT VALUE s FROM SensitiveWords s WHERE s.country = \"US\"",
+            "SELECT VALUE s FROM SensitiveWords s WHERE s.wid = t.ref_id",
+            "SELECT VALUE s FROM SensitiveWords /*+ noindex */ s WHERE s.wid = 5",
+            "SELECT VALUE s FROM SensitiveWords s WHERE s.wid = s.other",
+            "SELECT VALUE s FROM SensitiveWords s, SensitiveWords s2 WHERE s.wid = s2.wid",
+        ] {
+            assert!(key_of(&c, q).is_none(), "{q}");
+        }
+        // A key compared with a UDF parameter stays a hash build.
+        let q = "SELECT VALUE s FROM SensitiveWords s WHERE s.wid = ref_id";
+        let plan = plan_block(&parse_query(q).unwrap(), &c).unwrap();
+        assert!(matches!(plan.from_order[0].path, AccessPath::HashBuild { .. }));
+        assert!(plan.from_order[0].key.is_none());
+        // /*+ noindex */ still leads with the key conjunct, so the two
+        // plans evaluate conjuncts in one order.
+        let q = "SELECT VALUE s FROM SensitiveWords /*+ noindex */ s
+                 WHERE s.country = \"US\" AND s.wid = 5";
+        let plan = plan_block(&parse_query(q).unwrap(), &c).unwrap();
+        assert!(key_side(&plan.from_order[0].self_filter[0], "s", "wid").is_some());
+    }
+
+    #[test]
+    fn safety_rating_body_keeps_its_per_batch_hash_build() {
+        // The paper's §7 enrichment UDF compares the reference dataset's
+        // primary key with the incoming record: that is the per-batch
+        // state build, never a key probe.
+        let c = Catalog::new(2);
+        c.create_type_from_ddl(
+            "SafetyRatingType",
+            &[("country_code".into(), "string".into()), ("safety_rating".into(), "string".into())],
+        )
+        .unwrap();
+        c.create_dataset("SafetyRatings", "SafetyRatingType", "country_code").unwrap();
+        let stmts = crate::parser::parse_statements(
+            r#"CREATE FUNCTION enrichSafetyRating(t) {
+                 LET safety_rating = (SELECT VALUE s.safety_rating
+                                      FROM SafetyRatings s
+                                      WHERE t.country = s.country_code)
+                 SELECT t.*, safety_rating
+               };"#,
+        )
+        .unwrap();
+        let Statement::CreateFunction { body: Expr::Subquery(body), .. } = &stmts[0] else {
+            panic!("function body is a block")
+        };
+        let Expr::Subquery(inner) = &body.pre_lets[0].1 else { panic!("LET subquery") };
+        let plan = plan_block(inner, &c).unwrap();
+        let fp = &plan.from_order[0];
+        assert!(
+            matches!(&fp.path, AccessPath::HashBuild { build_keys, .. } if build_keys.len() == 1)
+        );
+        assert!(fp.key.is_none());
     }
 
     #[test]

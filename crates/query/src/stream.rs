@@ -12,9 +12,11 @@
 //!   driver scan (`vector::DriverScan`) a chunk at a time on the
 //!   caller's thread — compiled kernels and columnar page skipping
 //!   when the block vectorized, the row-path filters otherwise — and
-//!   projects at most one output batch at a time (`BlockStream`). The
-//!   in-process evaluator runs the same scan and projection, fanned out
-//!   over the dataset's partitions;
+//!   projects at most one output batch at a time (`BlockStream`). A
+//!   block whose planner pinned the primary key (`WHERE t.id = 7`)
+//!   reads only the record that key names, from the partition that owns
+//!   it. The in-process evaluator runs the same scan and projection,
+//!   fanned out over the dataset's partitions when it is not keyed;
 //! * **Materialized** — everything else (sorts, groups, joins) runs the
 //!   materializing evaluator and re-chunks the finished result, so the
 //!   API is total even when laziness is impossible.
@@ -32,7 +34,7 @@ use idea_adm::Value;
 use crate::ast::{FromSource, SelectBlock};
 use crate::exec::{bind_pre_lets, eval_limit, Env, ExecContext};
 use crate::plan::{AccessPath, BlockPlan};
-use crate::vector::{Chunk, DriverScan};
+use crate::vector::{Chunk, DriverScan, ScanInput};
 use crate::Result;
 
 /// Default number of rows per [`RowStream`] batch.
@@ -75,15 +77,14 @@ impl BlockStream {
         }
         let env = bind_pre_lets(block, env, ctx)?;
         let remaining = block.limit.as_ref().map(|l| eval_limit(l, &env, ctx)).transpose()?;
-        let parts = ctx.snapshots_for(ds)?.to_vec();
-        ctx.stats.materializations += 1;
+        let input = ScanInput::driver(fp, ds, &env, ctx)?;
         let scan = match plan.vec.as_ref().filter(|_| ctx.vectorize) {
-            Some(vp) => DriverScan::kernels(vp.clone(), 0, false, parts),
+            Some(vp) => DriverScan::kernels(vp.clone(), 0, false, input),
             None => {
                 if ctx.vectorize {
                     ctx.note_vec_fallback(plan);
                 }
-                DriverScan::rows(block, plan.clone(), env, parts)
+                DriverScan::rows(block, plan.clone(), env, input)
             }
         };
         Ok(Some(BlockStream { scan, cur: None, remaining }))

@@ -1061,34 +1061,90 @@ impl Chunk {
     }
 }
 
+/// What a [`DriverScan`] reads.
+pub(crate) enum ScanInput {
+    /// Pinned partition snapshots, in partition order.
+    Partitions(Vec<DatasetSnapshot>),
+    /// The record a primary-key probe found, if any.
+    Probed(Option<Arc<Value>>),
+}
+
+impl ScanInput {
+    /// The input of the driver item `fp` of a block, over dataset `ds`.
+    /// A keyed item ([`FromPlan::key`]) evaluates its key once against
+    /// `env` and reads that key through a pinned snapshot of the one
+    /// partition that owns it; the other partitions are neither pinned
+    /// nor read. A key that fails to evaluate, or that a lookup cannot
+    /// route exactly ([`probe_routes`]), scans every partition instead,
+    /// which raises the error and finds the rows exactly as the row path
+    /// does. Every other item scans every pinned partition.
+    pub(crate) fn driver(
+        fp: &FromPlan,
+        ds: &str,
+        env: &Env,
+        ctx: &mut ExecContext,
+    ) -> Result<ScanInput> {
+        let key = fp.key.as_ref().and_then(|k| eval_expr(k, env, ctx).ok());
+        let Some(key) = key.filter(probe_routes) else {
+            ctx.stats.materializations += 1;
+            return Ok(ScanInput::Partitions(ctx.snapshots_for(ds)?.to_vec()));
+        };
+        if key.is_unknown() {
+            return Ok(ScanInput::Probed(None));
+        }
+        ctx.stats.index_probes += 1;
+        Ok(ScanInput::Probed(ctx.snapshot_owning(ds, &key)?.get(&key)?))
+    }
+}
+
+/// Whether a lookup of `key` finds every record SQL++ `=` matches with
+/// it. Ints and doubles compare through `f64`, so past 2^53 one number
+/// can equal stored keys of the other kind that sort and hash apart
+/// from it (`2^53 + 1 = 9007199254740992.0`); such keys scan.
+fn probe_routes(key: &Value) -> bool {
+    const EXACT: u64 = 1 << 53;
+    match key {
+        Value::Int(i) => i.unsigned_abs() <= EXACT,
+        Value::Double(d) => d.abs() < EXACT as f64,
+        _ => true,
+    }
+}
+
 /// The one driver scan: pulls a dataset's pinned partition snapshots a
 /// chunk at a time — one columnar page or `BATCH_ROWS` records — and
 /// applies a block's driver filters, so no caller holds more than one
-/// unfiltered chunk. The vectorized evaluator (driver and build sides,
-/// one scan per fan-out worker) and streamed results
-/// (`stream::BlockStream`) drive it.
+/// unfiltered chunk. A keyed driver item reads only the record its key
+/// probe found ([`ScanInput::Probed`]), as the only chunk. The
+/// vectorized evaluator (driver and build sides, one scan per fan-out
+/// worker) and streamed results (`stream::BlockStream`) drive it.
 pub(crate) struct DriverScan {
     filter: ScanFilter,
     parts: Parts,
 }
 
 impl DriverScan {
-    /// Scans `parts` with the kernels of side `side` (0 = driver, 1 =
+    /// Scans `input` with the kernels of side `side` (0 = driver, 1 =
     /// hash-join build side) of `vp`. `whole_rows` decodes records even
     /// where the plan reads only columns.
     pub(crate) fn kernels(
         vp: Arc<VecPlan>,
         side: usize,
         whole_rows: bool,
-        parts: Vec<DatasetSnapshot>,
+        input: ScanInput,
     ) -> DriverScan {
         let needs_rows = whole_rows || vp.needs_rows(side);
         let (spec, _) = vp.side(side);
-        // Only row-layout partitions need the inferred schema.
+        // Only row-layout partitions (and probed records) need the
+        // inferred schema.
+        let sample: Option<Vec<Arc<Value>>> = match &input {
+            ScanInput::Partitions(parts) if parts.iter().any(|s| s.columnar().is_none()) => {
+                Some(parts.iter().flat_map(|s| s.iter()).take(SAMPLE_ROWS).collect())
+            }
+            ScanInput::Partitions(_) => None,
+            ScanInput::Probed(rec) => Some(rec.iter().cloned().collect()),
+        };
         let mut types = Vec::new();
-        if parts.iter().any(|s| s.columnar().is_none()) {
-            let sample: Vec<Arc<Value>> =
-                parts.iter().flat_map(|s| s.iter()).take(SAMPLE_ROWS).collect();
+        if let Some(sample) = sample {
             types = infer_types(sample.iter().map(|r| r.as_ref()), &spec.fields);
             for (t, eager) in types.iter_mut().zip(&spec.eager) {
                 if !eager {
@@ -1096,24 +1152,31 @@ impl DriverScan {
                 }
             }
         }
-        DriverScan::new(ScanFilter::Kernels { vp, side, needs_rows, types }, parts)
+        DriverScan::new(ScanFilter::Kernels { vp, side, needs_rows, types }, input)
     }
 
-    /// Scans `parts` with `block`'s row-path driver filters; survivors
+    /// Scans `input` with `block`'s row-path driver filters; survivors
     /// extend `env`.
     pub(crate) fn rows(
         block: &SelectBlock,
         plan: Arc<BlockPlan>,
         env: Env,
-        parts: Vec<DatasetSnapshot>,
+        input: ScanInput,
     ) -> DriverScan {
         let alias = block.from[plan.from_order[0].item_idx].alias.clone();
         let slot = BindSlot::new(&Env::new(), alias.clone());
-        DriverScan::new(ScanFilter::Rows { plan, alias, env, slot }, parts)
+        DriverScan::new(ScanFilter::Rows { plan, alias, env, slot }, input)
     }
 
-    fn new(filter: ScanFilter, parts: Vec<DatasetSnapshot>) -> DriverScan {
-        DriverScan { filter, parts: Parts { todo: parts.into_iter(), cur: Cursor::Next } }
+    fn new(filter: ScanFilter, input: ScanInput) -> DriverScan {
+        let parts = match input {
+            ScanInput::Partitions(parts) => Parts { todo: parts.into_iter(), cur: Cursor::Next },
+            ScanInput::Probed(rec) => Parts {
+                todo: Vec::new().into_iter(),
+                cur: Cursor::Records(rec.into_iter().collect::<Vec<_>>().into_iter()),
+            },
+        };
+        DriverScan { filter, parts }
     }
 
     /// The next chunk with at least one survivor, or `None` once every
@@ -1151,7 +1214,7 @@ impl DriverScan {
                     }
                 }
                 ScanFilter::Rows { plan, alias, env, slot } => {
-                    let Some(recs) = self.parts.next_records() else { return Ok(None) };
+                    let Some(recs) = self.parts.next_records()? else { return Ok(None) };
                     ctx.stats.rows_scanned += recs.len() as u64;
                     let fp0 = &plan.from_order[0];
                     let mut rows = Vec::new();
@@ -1252,12 +1315,13 @@ impl Parts {
 
     /// Row-path input: the next records, opening partitions of any
     /// layout as their records.
-    fn next_records(&mut self) -> Option<Vec<Arc<Value>>> {
+    fn next_records(&mut self) -> Result<Option<Vec<Arc<Value>>>> {
         loop {
             if let Some(chunk) = self.take_records() {
-                return Some(chunk);
+                return Ok(Some(chunk));
             }
-            self.cur = Cursor::Records(self.todo.next()?.iter().collect::<Vec<_>>().into_iter());
+            let Some(snap) = self.todo.next() else { return Ok(None) };
+            self.cur = Cursor::Records(snap.read_all()?.into_iter());
         }
     }
 
@@ -1288,7 +1352,7 @@ impl Parts {
             let Some(snap) = self.todo.next() else { return Ok(None) };
             self.cur = match snap.columnar() {
                 Some(reader) => open_pages(ctx, reader, spec, filters, side, needs_rows),
-                None => Cursor::Records(snap.iter().collect::<Vec<_>>().into_iter()),
+                None => Cursor::Records(snap.read_all()?.into_iter()),
             };
         }
     }
@@ -1660,12 +1724,13 @@ fn host_cores() -> usize {
 /// rows with the same multiset (and, under ORDER BY, order) the row path
 /// produces.
 ///
-/// With `fan_out` (a session's top-level block) and no LIMIT, the
-/// driver scan runs on `min(partitions, host cores)` threads (see
-/// [`scan_driver`]); the join, group-by and order tail then runs here
-/// over the survivors in partition order. Every other block — LIMIT,
-/// nested blocks, UDF bodies — that `BlockStream` can stream is
-/// collected from it, so it runs the same code as a served query.
+/// With `fan_out` (a session's top-level block), no LIMIT and no key
+/// probe, the driver scan runs on `min(partitions, host cores)` threads
+/// (see [`scan_driver`]); the join, group-by and order tail then runs
+/// here over the survivors in partition order. Every other block —
+/// LIMIT, key probes, nested blocks, UDF bodies — that `BlockStream`
+/// can stream is collected from it, so it runs the same code as a
+/// served query.
 pub(crate) fn eval_vectorized(
     block: &SelectBlock,
     plan: &Arc<BlockPlan>,
@@ -1674,7 +1739,8 @@ pub(crate) fn eval_vectorized(
     fan_out: bool,
     ctx: &mut ExecContext,
 ) -> Result<Vec<Value>> {
-    let fan_out = fan_out && block.limit.is_none();
+    let fp0 = &plan.from_order[0];
+    let fan_out = fan_out && block.limit.is_none() && fp0.key.is_none();
     // `env` already holds the pre-LETs: compiled blocks have none.
     if !fan_out {
         if let Some(mut rows) = BlockStream::start(block, plan, env, ctx)? {
@@ -1685,14 +1751,12 @@ pub(crate) fn eval_vectorized(
     // Driver scan: keep only batches with survivors. A plain block has
     // nothing past its driver filters but the projection, so its
     // workers project too.
-    ctx.stats.materializations += 1;
-    let parts = ctx.snapshots_for(&vp.driver.ds)?;
-    let workers = if fan_out { parts.len().min(host_cores()) } else { 1 };
+    let input = ScanInput::driver(fp0, &vp.driver.ds, env, ctx)?;
     let plain = vp.join.is_none()
         && matches!(&vp.tail, VecTail::Plain { order, .. } if order.is_empty())
         && !block.distinct
         && block.limit.is_none();
-    let shares = scan_driver(block, vp, &parts, workers, plain, ctx)?;
+    let shares = scan_driver(block, vp, input, fan_out, plain, ctx)?;
     if plain {
         return Ok(shares.into_iter().flat_map(|s| s.rows).collect());
     }
@@ -1713,7 +1777,7 @@ pub(crate) fn eval_vectorized(
         Some(j) => {
             let t = Instant::now();
             let parts = ctx.snapshots_for(&j.side.ds)?.to_vec();
-            let mut build = DriverScan::kernels(vp.clone(), 1, false, parts);
+            let mut build = DriverScan::kernels(vp.clone(), 1, false, ScanInput::Partitions(parts));
             let scanned_before = ctx.stats.rows_scanned;
 
             // Build: pre-hashed keys over the kernel survivors.
@@ -1814,27 +1878,39 @@ struct Share {
     batches: Vec<(Batch, Vec<u32>)>,
 }
 
-/// Runs the driver scan of `vp` over `parts`, one partition at a time,
-/// projecting the survivors when `project` is set. It runs on `workers`
-/// threads — the caller's plus scoped ones — each over a contiguous
-/// share of the partitions; each spawned thread scans with a forked
-/// context whose counters are added back into `ctx`. The shares come
-/// back in partition order, and an error is the first one in partition
-/// order — both exactly as one thread scanning every partition gives
-/// them.
+/// Runs the driver scan of `vp` over `input`, one partition at a time,
+/// projecting the survivors when `project` is set. With `fan_out` it
+/// runs on `min(partitions, host cores)` threads — the caller's plus
+/// scoped ones — each over a contiguous share of the partitions; each
+/// spawned thread scans with a forked context whose counters are added
+/// back into `ctx`. The shares come back in partition order, and an
+/// error is the first one in partition order — both exactly as one
+/// thread scanning every partition gives them. A probed record is
+/// scanned on the caller's thread.
 fn scan_driver(
     block: &SelectBlock,
     vp: &Arc<VecPlan>,
-    parts: &[DatasetSnapshot],
-    workers: usize,
+    input: ScanInput,
+    fan_out: bool,
     project: bool,
     ctx: &mut ExecContext,
 ) -> Result<Vec<Share>> {
+    let parts = match input {
+        ScanInput::Partitions(parts) => parts,
+        probed => return Ok(vec![scan_share(block, vp, probed, project, ctx)?]),
+    };
     let scan = |share: &[DatasetSnapshot], ctx: &mut ExecContext| -> Result<Vec<Share>> {
-        share.iter().map(|part| scan_partition(block, vp, part, project, ctx)).collect()
+        share
+            .iter()
+            .map(|part| {
+                let input = ScanInput::Partitions(vec![part.clone()]);
+                scan_share(block, vp, input, project, ctx)
+            })
+            .collect()
     };
     let scan = &scan;
-    let (n, workers) = (parts.len(), workers.max(1));
+    let n = parts.len();
+    let workers = if fan_out { n.min(host_cores()).max(1) } else { 1 };
     let share_of = |i: usize| &parts[i * n / workers..(i + 1) * n / workers];
     let forks: Vec<ExecContext> = (1..workers).map(|_| ctx.fork()).collect();
     let shares = std::thread::scope(|s| {
@@ -1856,16 +1932,16 @@ fn scan_driver(
     Ok(shares.into_iter().flatten().collect())
 }
 
-/// Scans one partition with the driver kernels of `vp` for
-/// [`scan_driver`].
-fn scan_partition(
+/// Scans one partition (or probed record) with the driver kernels of
+/// `vp` for [`scan_driver`].
+fn scan_share(
     block: &SelectBlock,
     vp: &Arc<VecPlan>,
-    part: &DatasetSnapshot,
+    input: ScanInput,
     project: bool,
     ctx: &mut ExecContext,
 ) -> Result<Share> {
-    let mut scan = DriverScan::kernels(vp.clone(), 0, false, vec![part.clone()]);
+    let mut scan = DriverScan::kernels(vp.clone(), 0, false, input);
     let mut share = Share::default();
     while let Some(chunk) = scan.next_chunk(ctx)? {
         match chunk {

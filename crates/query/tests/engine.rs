@@ -863,3 +863,86 @@ fn deep_nesting_is_a_syntax_error_not_a_stack_overflow() {
         assert!(got.is_ok(), "got {got:?}");
     }
 }
+
+/// Every component file (`*.cmp`) under `dir`, recursively.
+fn component_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            component_files(&path, out);
+        } else if path.extension().and_then(|e| e.to_str()) == Some("cmp") {
+            out.push(path);
+        }
+    }
+}
+
+/// A flipped byte in a sealed row-layout block fails every query that
+/// scans it with `Corrupt` — in-process, streamed and on the row oracle
+/// — instead of answering from the records before the bad block.
+#[test]
+fn corrupt_block_fails_the_scan_not_a_short_result() {
+    let tmp = idea_storage::TempDir::new("engine-corrupt-scan");
+    {
+        let c = Catalog::new(2);
+        c.set_storage_root(tmp.path()).unwrap();
+        run_sqlpp(
+            &c,
+            r#"CREATE TYPE T AS OPEN { id: int64 };
+               CREATE DATASET D(T) PRIMARY KEY id
+                   WITH {"storage": "disk", "fsync": "never", "layout": "row"};"#,
+        )
+        .unwrap();
+        let ds = c.dataset("D").unwrap();
+        for i in 0..2_000i64 {
+            ds.upsert(Value::object([("id", Value::Int(i)), ("v", Value::Int(i % 7))]))
+                .unwrap();
+        }
+        for p in ds.partitions() {
+            p.flush();
+            p.merge();
+        }
+    }
+    // Offset 20 lands in the first block frame's payload: an 8-byte
+    // magic, then 4 bytes frame length and 4 bytes CRC.
+    let mut files = Vec::new();
+    component_files(tmp.path(), &mut files);
+    assert!(!files.is_empty(), "the dataset must have sealed components");
+    for path in &files {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[20] ^= 0x40;
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    let c = Catalog::new(2);
+    c.set_storage_root(tmp.path()).unwrap();
+    let corrupt = |r: idea_query::Result<Value>, what: &str| match r {
+        Err(QueryError::Storage(idea_storage::StorageError::Corrupt(_))) => {}
+        other => panic!("{what}: expected a corruption error, got {other:?}"),
+    };
+    let row = SessionConfig::new().vectorize(false).build(c.clone());
+    let session = Session::new(c.clone());
+    // Twice: over the sealed components alone, then with a memtable
+    // overlay merged in front of them.
+    for overlay in [false, true] {
+        if overlay {
+            let ds = c.dataset("D").unwrap();
+            for id in 5_000..5_010 {
+                ds.upsert(Value::object([("id", Value::Int(id)), ("v", Value::Int(3))]))
+                    .unwrap();
+            }
+            assert!(ds.partitions().iter().all(|p| p.lsm_shape().0 > 0), "overlay everywhere");
+        }
+        for q in [
+            "SELECT VALUE count(*) FROM D t",
+            "SELECT VALUE t.id FROM D t WHERE t.v = 3",
+            "SELECT VALUE t FROM D /*+ noindex */ t WHERE t.id = 5",
+        ] {
+            let what = format!("{q} (overlay: {overlay})");
+            corrupt(session.query(q), &what);
+            corrupt(row.query(q), &what);
+            let streamed: idea_query::Result<Vec<Value>> =
+                session.query_stream(q).and_then(|s| s.collect());
+            corrupt(streamed.map(Value::Array), &what);
+        }
+    }
+}

@@ -275,3 +275,19 @@ fn served_filter_scan_runs_the_vectorized_driver_scan() {
     assert!(built() > before, "a served filter scan built no batches");
     server.shutdown();
 }
+
+#[test]
+fn served_key_probe_matches_the_row_oracle() {
+    let (engine, server) = serve_tweets(300, ServerConfig::default());
+    let oracle = engine.new_session(SessionConfig::new().vectorize(false));
+    let mut client = Client::connect(server.local_addr(), "probe").unwrap();
+    for (q, n) in [
+        ("SELECT VALUE t FROM Tweets t WHERE t.id = 217", 1),
+        ("SELECT VALUE t.text FROM Tweets t WHERE t.id = 5000", 0),
+    ] {
+        let got = Value::Array(client.query(q).unwrap());
+        assert_eq!(got, oracle.query(q).unwrap(), "{q}");
+        assert_eq!(got.as_array().unwrap().len(), n, "{q}");
+    }
+    server.shutdown();
+}

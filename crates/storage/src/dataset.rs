@@ -11,7 +11,9 @@ use parking_lot::RwLock;
 
 use crate::error::StorageError;
 use crate::index::{IndexDef, IndexKind, SecondaryIndex};
-use crate::lsm::{CacheStats, Entry, LsmConfig, LsmTree, RecoveryStats, TreeSnapshot, WalStats};
+use crate::lsm::{
+    CacheStats, Entry, LsmConfig, LsmTree, RecoveryStats, SnapshotIter, TreeSnapshot, WalStats,
+};
 use crate::maintenance::MaintenanceScheduler;
 use crate::stats::StorageStats;
 use crate::Result;
@@ -485,9 +487,18 @@ pub struct DatasetSnapshot {
 impl DatasetSnapshot {
     /// Iterates live records in primary-key order. Records are
     /// `Arc`-shared (or block-cache-shared for disk components), never
-    /// deep-cloned.
-    pub fn iter(&self) -> impl Iterator<Item = Arc<Value>> + '_ {
-        self.snap.iter().map(|(_, v)| v)
+    /// deep-cloned. A disk read failure ends the iteration early; the
+    /// iterator then reports it through [`Records::error`].
+    pub fn iter(&self) -> Records<'_> {
+        Records { it: self.snap.iter() }
+    }
+
+    /// Every live record in primary-key order, or the read error that
+    /// cut the scan short — never a silent prefix.
+    pub fn read_all(&self) -> Result<Vec<Arc<Value>>> {
+        let mut it = self.iter();
+        let rows: Vec<Arc<Value>> = it.by_ref().collect();
+        it.error().map_or(Ok(rows), |e| Err(e.clone()))
     }
 
     /// A page-level read handle when this snapshot is exactly one
@@ -518,6 +529,28 @@ impl DatasetSnapshot {
 
     pub fn is_empty(&self) -> bool {
         self.snap.is_empty()
+    }
+}
+
+/// The live records of a [`DatasetSnapshot`], in primary-key order.
+pub struct Records<'a> {
+    it: SnapshotIter<'a>,
+}
+
+impl Records<'_> {
+    /// The disk read error that ended the iteration early, if any.
+    /// While set, the records yielded so far are a prefix of the
+    /// snapshot, not the whole of it.
+    pub fn error(&self) -> Option<&StorageError> {
+        self.it.error()
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = Arc<Value>;
+
+    fn next(&mut self) -> Option<Arc<Value>> {
+        self.it.next().map(|(_, v)| v)
     }
 }
 

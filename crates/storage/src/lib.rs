@@ -36,7 +36,7 @@ pub mod partitioned;
 pub mod persist;
 pub mod stats;
 
-pub use dataset::{Dataset, DatasetConfig, DatasetSnapshot};
+pub use dataset::{Dataset, DatasetConfig, DatasetSnapshot, Records};
 pub use error::StorageError;
 pub use index::{BTreeIndex, IndexDef, IndexKind, RTree};
 pub use lsm::{Entry, LsmConfig, MergePolicy, MergePolicyConfig};

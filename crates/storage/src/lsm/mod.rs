@@ -1092,7 +1092,7 @@ impl TreeSnapshot {
             sources.push(Box::new(c.iter()));
         }
         let heads = sources.iter_mut().map(|s| s.next()).collect();
-        SnapshotIter { heads, sources }
+        SnapshotIter { heads, sources, error: None }
     }
 
     /// Live-entry count (linear in snapshot size).
@@ -1117,7 +1117,24 @@ impl TreeSnapshot {
     }
 }
 
-type EntrySource<'a> = Box<dyn Iterator<Item = (Value, Entry)> + 'a>;
+/// One sorted input of a [`SnapshotIter`]: the memtable run or a
+/// component. A component source that hits a block read error ends
+/// early and reports it through [`Source::error`].
+trait Source: Iterator<Item = (Value, Entry)> {
+    fn error(&self) -> Option<&StorageError> {
+        None
+    }
+}
+
+impl Source for MemSource<'_> {}
+
+impl Source for ComponentIter<'_> {
+    fn error(&self) -> Option<&StorageError> {
+        ComponentIter::error(self)
+    }
+}
+
+type EntrySource<'a> = Box<dyn Source + 'a>;
 
 /// Iterator over the snapshot's merged-memtable run. The run itself is
 /// contiguous, but yielding an entry clones the record `Arc` — a
@@ -1157,10 +1174,24 @@ impl Iterator for MemSource<'_> {
 /// drain and degenerates to a straight pass once one source remains —
 /// the common case for a freshly-merged tree or a memtable-only tree,
 /// and the batch-scan floor the vectorized query path sits on.
+///
+/// A source that hits a read error ends early, so the merged stream
+/// ends short of the snapshot; [`SnapshotIter::error`] then reports the
+/// error, and consumers must treat what they read as a prefix.
 pub struct SnapshotIter<'a> {
     /// Front entry of each live source (a manual peek slot).
     heads: Vec<Option<(Value, Entry)>>,
     sources: Vec<EntrySource<'a>>,
+    /// The first read error of a source already pruned.
+    error: Option<StorageError>,
+}
+
+impl SnapshotIter<'_> {
+    /// The read error that cut some source short, if any. While set,
+    /// the entries yielded so far are not the whole snapshot.
+    pub fn error(&self) -> Option<&StorageError> {
+        self.error.as_ref().or_else(|| self.sources.iter().find_map(|s| s.error()))
+    }
 }
 
 impl Iterator for SnapshotIter<'_> {
@@ -1213,7 +1244,10 @@ impl Iterator for SnapshotIter<'_> {
                 while i < self.heads.len() {
                     if self.heads[i].is_none() {
                         self.heads.remove(i);
-                        drop(self.sources.remove(i));
+                        let source = self.sources.remove(i);
+                        if self.error.is_none() {
+                            self.error = source.error().cloned();
+                        }
                     } else {
                         i += 1;
                     }

@@ -297,11 +297,18 @@ fn corrupt_page_is_error_not_wrong_rows() {
         }
     }
     assert!(errors > 0, "some lookups must hit the corrupted pages");
-    // Scans stop at the bad page rather than fabricating rows: every
-    // row that does come back must match the oracle.
-    for rec in ds.snapshot().iter() {
+    // A scan that reads everything fails with the page's error instead
+    // of returning the rows before it.
+    assert!(matches!(ds.snapshot().read_all(), Err(StorageError::Corrupt(_))));
+    // The record iterator stops at the bad page rather than fabricating
+    // rows, and says so: every row that does come back must match the
+    // oracle, and the iterator reports the error once it ends.
+    let snap = ds.snapshot();
+    let mut recs = snap.iter();
+    for rec in recs.by_ref() {
         let obj = rec.as_object().unwrap();
         let Some(Value::Int(id)) = obj.get("id") else { panic!("bad row {rec:?}") };
         assert_eq!(obj.get("v"), Some(&Value::Int(oracle[id])), "scan id {id}");
     }
+    assert!(matches!(recs.error(), Some(StorageError::Corrupt(_))));
 }

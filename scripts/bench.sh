@@ -9,8 +9,9 @@
 #    oracle, the fanned-out query and the single-thread stream disagree
 #    on a row count, fails (smoke and full) if the vectorized pure-scan
 #    query is slower than row-at-a-time, and in full runs enforces the
-#    vectorized group-by / join bars and (on multi-core hosts) the 1.1x
-#    scan/GROUP BY bar.
+#    vectorized group-by / join bars, (on multi-core hosts) the 1.1x
+#    scan/GROUP BY bar, and the 5x bar of a keyed primary-key lookup
+#    over its `/*+ noindex */` full scan (whose row counts must agree).
 #  * storage_bench — background LSM maintenance vs. synchronous
 #    flush/merge on the writer path; writes BENCH_storage.json and
 #    fails if the merge-point p99 put reduction is below 5x or the

@@ -26,6 +26,9 @@ run cargo test --offline -q -p idea-storage --test durability
 # (crash_recovery above already runs the kill-9 oracle per layout.)
 run cargo test --offline -q -p idea-storage --test columnar
 run cargo test --offline -q -p idea-query --test columnar_scan
+# Primary-key probe: keyed point queries must agree with the stream,
+# the `/*+ noindex */` scan and the row oracle over every data shape.
+run cargo test --offline -q -p idea-query --test pk_probe
 # Connector/spec smoke: the checked-in pipeline spec must load,
 # validate, and run end to end (logfile source → UDF → dataset), and a
 # SIGKILLed feed must resume from its committed connector offsets.

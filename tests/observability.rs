@@ -229,6 +229,14 @@ fn query_batch_metrics_appear() {
     assert_eq!(stats.batches_built, delta, "every worker's batches are counted");
     assert!(stats.batches_built >= 2, "one batch per partition at least");
 
+    // A primary-key equality probes the owning partition for its one
+    // record instead of scanning both partitions.
+    session.query("SELECT VALUE p FROM Points p WHERE p.id = 123").unwrap();
+    let stats = session.last_stats();
+    assert_eq!(stats.index_probes, 1, "{stats:?}");
+    assert!(stats.rows_scanned <= 1, "{stats:?}");
+    assert!(stats.batches_built <= 1, "{stats:?}");
+
     // Weak ref: dropping the session (and with it the plan cache) must
     // not leave a live probe behind.
     drop(session);
